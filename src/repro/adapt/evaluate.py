@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from repro.adapt.policy import CAUSE_INITIAL
-from repro.core.framework import FrameworkConfig
+from repro.core.config import FrameworkConfig
 from repro.core.session import SessionCore
 from repro.evaluation.matching import match_warnings
 from repro.raslog.generator import SyntheticLog

@@ -400,9 +400,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         or args.journal
         or config.retrain_trigger == "adaptive"
     ):
-        # The adaptive trigger lives in the online session (drift
-        # detectors feed off the stream); the batch framework below
-        # only knows the paper's fixed cadence.
+        # The batch framework below honours the adaptive trigger too (it
+        # replays through the same session core), but only the streaming
+        # path prints the drift summary.
         return _run_streaming(args, config)
     log, report = _prepare_log(args.input, strict=args.strict)
     _print_parse_report(report)

@@ -13,18 +13,17 @@ best is selected — smaller windows mean shorter event histories to
 maintain and cheaper online matching (the paper's stated motivation for
 not simply using two-hour windows everywhere).
 :class:`AdaptiveWindowFramework` plugs the tuner into the dynamic
-framework.
+framework as the session core's window hook: at every retraining the
+chosen window becomes the one used for training, revising, re-priming
+and prediction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.framework import (
-    DynamicMetaLearningFramework,
-    FrameworkConfig,
-    RetrainEvent,
-)
+from repro.core.config import FrameworkConfig
+from repro.core.framework import DynamicMetaLearningFramework
 from repro.core.meta import MetaLearner
 from repro.core.predictor import Predictor
 from repro.core.reviser import Reviser
@@ -149,18 +148,17 @@ class AdaptiveWindowFramework(DynamicMetaLearningFramework):
         self.tuner = tuner or AdaptiveWindowTuner(tick=self.config.tick)
         self.decisions: list[TuningDecision] = []
 
-    def _retrain(self, log: EventLog, week: int) -> RetrainEvent:
-        w0, w1 = self.config.policy.window(week)
-        train_log = log.slice_weeks(w0, w1)
+    def _window_tuner(
+        self, week: int, train_log: EventLog, meta: MetaLearner, reviser: Reviser
+    ) -> float:
         decision = self.tuner.choose(
             week,
             train_log,
-            self.meta,
-            self.reviser,
+            meta,
+            reviser,
             self.catalog,
             ensemble=self.config.ensemble,
             dist_horizon_cap=self.config.dist_horizon_cap,
         )
         self.decisions.append(decision)
-        self._window = decision.chosen
-        return super()._retrain(log, week)
+        return decision.chosen

@@ -7,197 +7,31 @@ candidate rules by ROC analysis, the knowledge repository is swapped to
 the surviving rules (with churn recorded for Figure 12), and the
 event-driven predictor keeps monitoring the stream, emitting warnings
 whenever a rule matches within the prediction window ``Wp``.
+
+There is one engine: :meth:`DynamicMetaLearningFramework.run` replays a
+complete log through a :class:`~repro.core.session.SessionCore`, the
+same state machine that serves online streams, and then scores the
+warnings week by week.  Batch and streamed runs therefore share every
+retraining decision — fixed cadence or drift-triggered, and degraded
+mode's capped-backoff retries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro import observe
-from repro.core.knowledge import KnowledgeRepository
-from repro.core.meta import MetaLearner
-from repro.core.predictor import (
-    ENSEMBLE_POLICIES,
-    INDEXING_MODES,
-    FailureWarning,
-    Predictor,
-)
-from repro.core.reviser import Reviser
-from repro.core.tracking import ChurnHistory, ChurnRecord, diff_rule_sets
-from repro.core.windows import TrainingPolicy, dynamic_months
+from repro.core.config import FrameworkConfig
+from repro.core.predictor import FailureWarning
+from repro.core.session import RetrainEvent, SessionCore, WindowTuner
+from repro.core.tracking import ChurnHistory
 from repro.evaluation.matching import extract_failures, match_warnings
 from repro.evaluation.metrics import PrecisionRecall
 from repro.evaluation.timeline import WeeklyMetrics
-from repro.learners.registry import DEFAULT_LEARNERS
 from repro.parallel.executor import Executor
 from repro.resilience.degrade import RetrainFailure
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.store import EventLog
 from repro.utils.timeutil import WEEK_SECONDS
-
-
-@dataclass(frozen=True)
-class FrameworkConfig:
-    """All knobs of the framework, with the paper's defaults."""
-
-    #: Prediction window ``Wp`` (= rule-generation window), seconds.
-    prediction_window: float = 300.0
-    #: Retraining window ``WR``, weeks.
-    retrain_weeks: int = 4
-    #: Training-set policy (paper default: most recent six months).
-    policy: TrainingPolicy = field(default_factory=dynamic_months)
-    #: Weeks of data accumulated before predictions start.
-    initial_train_weeks: int = 26
-    #: Whether the reviser filters candidate rules (Figure 11's ablation).
-    use_reviser: bool = True
-    min_roc: float = 0.7
-    #: Expert-combination policy of the predictor.
-    ensemble: str = "experts"
-    #: Deployment-timer period for the time-triggered expert, seconds.
-    tick: float | None = 60.0
-    #: Cap on the distribution expert's warning horizon, seconds.
-    dist_horizon_cap: float = 43200.0
-    #: Base learners by registry name, in mixture-of-experts order.
-    learners: tuple[str, ...] = DEFAULT_LEARNERS
-    #: Extra constructor arguments per learner name.
-    learner_params: dict[str, dict] = field(default_factory=dict)
-    #: What a failed retraining does: ``"raise"`` propagates the error
-    #: (fail-fast, the batch default pinned by the failure-injection
-    #: tests); ``"degrade"`` keeps predicting with the previous rule set,
-    #: records a :class:`~repro.resilience.RetrainFailure` and retries.
-    on_retrain_error: str = "raise"
-    #: Tolerated out-of-order arrival (seconds) in the online session.
-    #: 0.0 keeps the strict behaviour: late events raise ``ValueError``.
-    #: Positive values buffer events for re-sequencing; events later than
-    #: the slack are quarantined instead of raised.
-    reorder_slack: float = 0.0
-    #: First retry delay (stream seconds) after a failed retraining.
-    retrain_backoff_base: float = 60.0
-    #: Cap on the exponential retry backoff (stream seconds).
-    retrain_backoff_cap: float = 3600.0
-    #: Predictor matching-index implementation (``"compiled"``/``"scan"``).
-    #: A pure speed knob — both modes emit identical warnings — kept out
-    #: of the checkpoint config digest so artifacts stay interchangeable;
-    #: ``"scan"`` exists so the perf harness can measure the compiled
-    #: index against the original matcher end-to-end.
-    predictor_indexing: str = "compiled"
-    #: How retrainings are scheduled: ``"fixed"`` retrains every
-    #: ``retrain_weeks`` (the paper's metronome); ``"adaptive"`` evaluates
-    #: the :mod:`repro.adapt` drift detectors at every week boundary and
-    #: retrains when patterns actually moved (with a cooldown after each
-    #: retraining and a forced retrain at least every
-    #: ``adapt_max_interval_weeks``).
-    retrain_trigger: str = "fixed"
-    #: Jensen–Shannon event-mix divergence that triggers a retrain.
-    adapt_mix_threshold: float = 0.45
-    #: KS inter-arrival-shift statistic that triggers a retrain.
-    adapt_gap_threshold: float = 0.45
-    #: Fraction of baseline rules decayed that triggers a retrain.
-    adapt_rule_threshold: float = 0.6
-    #: Weeks after a successful retraining during which drift triggers
-    #: are suppressed (fresh rules re-baseline first).
-    adapt_cooldown_weeks: int = 2
-    #: A quiet stream still retrains at least every this many weeks
-    #: (``WR_max``, the adaptive mode's safety net).
-    adapt_max_interval_weeks: int = 8
-    #: Sliding-window size (events / gap samples) of the drift detectors.
-    adapt_window_events: int = 256
-    #: Re-arm fraction: after a drift trigger, scores must fall below
-    #: ``hysteresis`` × threshold before another drift trigger can fire.
-    adapt_hysteresis: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.prediction_window <= 0:
-            raise ValueError("prediction_window must be positive")
-        if self.retrain_weeks < 1:
-            raise ValueError("retrain_weeks must be >= 1")
-        if self.initial_train_weeks < 1:
-            raise ValueError("initial_train_weeks must be >= 1")
-        if self.ensemble not in ENSEMBLE_POLICIES:
-            raise ValueError(f"ensemble must be one of {ENSEMBLE_POLICIES}")
-        if not self.learners:
-            raise ValueError("need at least one learner")
-        if self.tick is not None and self.tick <= 0:
-            raise ValueError(f"tick must be positive or None, got {self.tick}")
-        if not 0.0 <= self.min_roc <= 1.0:
-            raise ValueError(f"min_roc must lie in [0, 1], got {self.min_roc}")
-        if self.dist_horizon_cap <= 0:
-            raise ValueError(
-                f"dist_horizon_cap must be positive, got {self.dist_horizon_cap}"
-            )
-        if self.predictor_indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"predictor_indexing must be one of {INDEXING_MODES}, "
-                f"got {self.predictor_indexing!r}"
-            )
-        if self.on_retrain_error not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_retrain_error must be 'raise' or 'degrade', "
-                f"got {self.on_retrain_error!r}"
-            )
-        if self.reorder_slack < 0:
-            raise ValueError(
-                f"reorder_slack must be >= 0, got {self.reorder_slack}"
-            )
-        if self.retrain_backoff_base <= 0:
-            raise ValueError(
-                f"retrain_backoff_base must be positive, "
-                f"got {self.retrain_backoff_base}"
-            )
-        if self.retrain_backoff_cap < self.retrain_backoff_base:
-            raise ValueError(
-                f"retrain_backoff_cap ({self.retrain_backoff_cap}) must be "
-                f">= retrain_backoff_base ({self.retrain_backoff_base})"
-            )
-        if self.retrain_trigger not in ("fixed", "adaptive"):
-            raise ValueError(
-                f"retrain_trigger must be 'fixed' or 'adaptive', "
-                f"got {self.retrain_trigger!r}"
-            )
-        for name in (
-            "adapt_mix_threshold",
-            "adapt_gap_threshold",
-            "adapt_rule_threshold",
-            "adapt_hysteresis",
-        ):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        if self.adapt_cooldown_weeks < 0:
-            raise ValueError(
-                f"adapt_cooldown_weeks must be >= 0, "
-                f"got {self.adapt_cooldown_weeks}"
-            )
-        if self.adapt_max_interval_weeks <= self.adapt_cooldown_weeks:
-            raise ValueError(
-                f"adapt_max_interval_weeks "
-                f"({self.adapt_max_interval_weeks}) must exceed "
-                f"adapt_cooldown_weeks ({self.adapt_cooldown_weeks})"
-            )
-        if self.adapt_window_events < 16:
-            raise ValueError(
-                f"adapt_window_events must be >= 16, "
-                f"got {self.adapt_window_events}"
-            )
-
-    def with_(self, **changes) -> "FrameworkConfig":
-        """Functional update helper for experiment sweeps."""
-        return replace(self, **changes)
-
-
-@dataclass
-class RetrainEvent:
-    """Telemetry of one retraining round."""
-
-    week: int
-    train_span: tuple[int, int]
-    n_candidates: int
-    n_kept: int
-    churn: ChurnRecord
-    generation_seconds: float
-    revise_seconds: float
-    #: per-learner training seconds (measured on the executor's workers)
-    learner_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -228,6 +62,10 @@ class RunResult:
 class DynamicMetaLearningFramework:
     """Top-level entry point reproducing the paper's prediction engine."""
 
+    #: Optional prediction-window tuner consulted at each retraining
+    #: (see :class:`~repro.core.adaptive.AdaptiveWindowFramework`).
+    _window_tuner: WindowTuner | None = None
+
     def __init__(
         self,
         config: FrameworkConfig | None = None,
@@ -239,27 +77,6 @@ class DynamicMetaLearningFramework:
         self.catalog = catalog or default_catalog()
         self._executor = executor
         self._own_executor = own_executor and executor is not None
-        self.meta = MetaLearner(
-            learners=self.config.learners,
-            catalog=self.catalog,
-            executor=executor,
-            learner_params=self.config.learner_params,
-        )
-        self.reviser = Reviser(
-            min_roc=self.config.min_roc,
-            catalog=self.catalog,
-            tick=self.config.tick,
-            dist_horizon_cap=self.config.dist_horizon_cap,
-        )
-        self.repository = KnowledgeRepository()
-        #: The active prediction window; subclasses (adaptive tuning) may
-        #: change it between retrainings.
-        self._window = self.config.prediction_window
-
-    @property
-    def prediction_window(self) -> float:
-        """The currently active prediction window ``Wp``."""
-        return self._window
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -276,55 +93,6 @@ class DynamicMetaLearningFramework:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- retraining --------------------------------------------------------
-
-    def _retrain(self, log: EventLog, week: int) -> RetrainEvent:
-        cfg = self.config
-        w0, w1 = cfg.policy.window(week)
-        train_log = log.slice_weeks(w0, w1)
-
-        output = self.meta.train(train_log, self._window, week=week)
-        candidates = output.records()
-        candidate_keys = {r.key for r in candidates}
-
-        if cfg.use_reviser:
-            revision = self.reviser.revise(
-                candidates, train_log, self._window
-            )
-            kept = revision.kept
-            removed_keys = revision.removed_keys
-            revise_seconds = revision.seconds
-        else:
-            kept = candidates
-            removed_keys = set()
-            revise_seconds = 0.0
-
-        churn = diff_rule_sets(
-            week, self.repository.keys(), candidate_keys, removed_keys
-        )
-        self.repository.replace_all(kept)
-        return RetrainEvent(
-            week=week,
-            train_span=(w0, w1),
-            n_candidates=len(candidates),
-            n_kept=len(kept),
-            churn=churn,
-            generation_seconds=output.seconds,
-            revise_seconds=revise_seconds,
-            learner_seconds=dict(output.learner_seconds),
-        )
-
-    def _rule_weights(self) -> dict:
-        """Per-rule training precision (m1), the weighted policy's input."""
-        return self.repository.precision_weights()
-
-    def _should_retrain(self, week: int, start_week: int) -> bool:
-        if week == start_week:
-            return True  # initial training
-        if not self.config.policy.retrains:
-            return False
-        return (week - start_week) % self.config.retrain_weeks == 0
-
     # -- main loop -----------------------------------------------------------
 
     def run(
@@ -337,7 +105,10 @@ class DynamicMetaLearningFramework:
 
         Weeks before ``start_week`` (default: the configured initial
         training period) are training-only; prediction and evaluation run
-        from ``start_week`` to ``end_week`` (default: end of log).
+        from ``start_week`` to ``end_week`` (default: end of log).  Trailing
+        weeks before ``end_week`` that hold no events still get their
+        scheduled retrainings, but the deployment timer is not run
+        through them.
         """
         cfg = self.config
         start = cfg.initial_train_weeks if start_week is None else start_week
@@ -349,74 +120,28 @@ class DynamicMetaLearningFramework:
                 f"nothing to evaluate: end_week {end} <= start_week {start}"
             )
 
-        warnings: list[FailureWarning] = []
-        churn = ChurnHistory()
-        retrains: list[RetrainEvent] = []
-        failures: list[RetrainFailure] = []
-        predictor: Predictor | None = None
-        #: week owed a successful retraining (degraded mode only)
-        pending: int | None = None
-        attempts = 0
+        core = SessionCore(
+            cfg if start_week is None else cfg.with_(initial_train_weeks=start),
+            catalog=self.catalog,
+            executor=self._executor,
+            origin=log.origin,
+            window_tuner=self._window_tuner,
+        )
+        for event in log.slice_weeks(0, end):
+            core.ingest(event)
+        core.cross_boundaries(log.origin + (end - 1) * WEEK_SECONDS)
 
-        for week in range(start, end):
-            if self._should_retrain(week, start) or pending is not None:
-                try:
-                    event = self._retrain(log, week)
-                except Exception as exc:
-                    if cfg.on_retrain_error == "raise":
-                        raise
-                    # Degraded mode: keep the previous rule set, retry at
-                    # the next week (batch replay has no finer clock).
-                    attempts += 1
-                    failures.append(
-                        RetrainFailure(
-                            week=week,
-                            error=repr(exc),
-                            error_type=type(exc).__name__,
-                            attempt=attempts,
-                            time=log.origin + week * WEEK_SECONDS,
-                        )
-                    )
-                    observe.counter("online.retrain_failures").inc()
-                    pending = week
-                else:
-                    retrains.append(event)
-                    churn.append(event.churn)
-                    predictor = None
-                    pending = None
-                    attempts = 0
-            if predictor is None:
-                predictor = Predictor(
-                    self.repository.rules(),
-                    window=self._window,
-                    catalog=self.catalog,
-                    ensemble=cfg.ensemble,
-                    dist_horizon_cap=cfg.dist_horizon_cap,
-                    rule_weights=self._rule_weights(),
-                    indexing=cfg.predictor_indexing,
-                )
-                # Re-prime the fresh predictor with the last Wp seconds of
-                # history so precursors straddling the handover can still
-                # complete a rule, and anchor its clock at the week
-                # boundary so replay does not reject the first event.
-                boundary = log.origin + week * WEEK_SECONDS
-                predictor.prime(
-                    log.between(boundary - self._window, boundary),
-                    now=boundary,
-                )
-            warnings.extend(predictor.replay(log.week(week), tick=cfg.tick))
-
-        weekly, overall = self._evaluate(log, warnings, start, end)
+        weekly, overall = self._evaluate(log, core.warnings, start, end)
         return RunResult(
             config=cfg,
-            warnings=warnings,
+            warnings=core.warnings,
             weekly=weekly,
-            churn=churn,
-            retrains=retrains,
+            churn=core.churn,
+            retrains=core.retrains,
             overall=overall,
             start_week=start,
             end_week=end,
-            retrain_failures=failures,
+            retrain_failures=core.retrain_failures,
         )
 
     # -- evaluation ------------------------------------------------------------

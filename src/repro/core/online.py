@@ -1,13 +1,14 @@
 """Online (streaming) operation of the dynamic meta-learning framework.
 
-:class:`~repro.core.framework.DynamicMetaLearningFramework` replays a
-complete log; a deployment instead *streams* events as the CMCS reports
-them.  :class:`OnlinePredictionSession` is that mode: feed events one at
-a time with :meth:`ingest`, receive warnings back, and retraining fires
-automatically whenever the stream crosses a retraining boundary — using
-exactly the same training-window policy, meta-learner and reviser as the
-batch framework, so a streamed trace produces the same warnings as a
-batch run over the same events (covered by the equivalence tests).
+A deployment *streams* events as the CMCS reports them.
+:class:`OnlinePredictionSession` is that mode: feed events one at a time
+with :meth:`ingest`, receive warnings back, and retraining fires
+automatically whenever the stream crosses a retraining boundary.  There
+is one engine: the session and the batch
+:class:`~repro.core.framework.DynamicMetaLearningFramework` (which
+replays a complete log) both run the same
+:class:`~repro.core.session.SessionCore`, so a streamed trace produces
+the same warnings as a batch run over the same events.
 
 Structurally the session is a *facade* over a layered stack
 (:mod:`repro.core.session`): a pure :class:`~repro.core.session.SessionCore`
@@ -44,18 +45,21 @@ import numpy as np
 
 from repro import observe
 from repro.alerts import FailureWarning
-from repro.core.framework import FrameworkConfig, RetrainEvent
+from repro.core.config import FrameworkConfig
 from repro.core.knowledge import KnowledgeRepository
-from repro.core.session import SessionCore, SessionSummary, StreamSession
+from repro.core.session import (
+    RetrainEvent,
+    SessionCore,
+    SessionSummary,
+    StreamSession,
+)
 from repro.core.tracking import ChurnHistory
 from repro.parallel.executor import Executor
 from repro.raslog.catalog import EventCatalog
 from repro.raslog.events import RASEvent
-from repro.raslog.store import EventLog
 from repro.resilience import checkpoint as ckpt
 from repro.resilience.degrade import RetrainFailure
 from repro.resilience.journal import EventJournal, JournalCorruption
-from repro.resilience.reorder import ReorderBuffer
 from repro.resilience.wrappers import (
     QUARANTINE_KEEP,
     JournalingSession,
@@ -125,14 +129,6 @@ class OnlinePredictionSession:
         return self._core.origin
 
     @property
-    def meta(self):
-        return self._core.meta
-
-    @property
-    def reviser(self):
-        return self._core.reviser
-
-    @property
     def repository(self) -> KnowledgeRepository:
         return self._core.repository
 
@@ -169,25 +165,11 @@ class OnlinePredictionSession:
         """The attached write-ahead journal, if any."""
         return None if self._journaling is None else self._journaling.journal
 
-    @property
-    def _reorder(self) -> ReorderBuffer | None:
-        """The reorder buffer, if late-event tolerance is enabled."""
-        return None if self._reordering is None else self._reordering.buffer
-
-    @property
-    def _last_time(self) -> float:
-        return self._core.last_time
-
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def current_week(self) -> int:
         return self._core.current_week
-
-    @property
-    def started(self) -> bool:
-        """Whether the initial training has happened yet."""
-        return self._core.started
 
     @property
     def degraded(self) -> bool:
@@ -202,15 +184,6 @@ class OnlinePredictionSession:
     def drift_status(self) -> dict | None:
         """Drift-detector/policy state, or None with the fixed trigger."""
         return self._core.drift_status()
-
-    def history(self) -> EventLog:
-        """Everything ingested so far, as an EventLog.
-
-        A session resumed from a tail checkpoint only retains the tail
-        its future retrainings can reach; earlier events are summarized
-        by counters (``summary().n_events`` stays exact).
-        """
-        return self._core.history()
 
     def close(self) -> None:
         """Release the executor if this session owns it (idempotent)."""
@@ -243,16 +216,7 @@ class OnlinePredictionSession:
         deliberately never journaled — replaying it would abort recovery
         with the same error.
         """
-        if event.timestamp < self.origin:
-            raise ValueError(
-                f"event at {event.timestamp} precedes the session origin "
-                f"{self.origin}"
-            )
-        if self._reordering is None and event.timestamp < self._core.last_time:
-            raise ValueError(
-                f"events must arrive in time order "
-                f"({event.timestamp} < {self._core.last_time})"
-            )
+        self._validate([event])
         new = self._stack.ingest(event)
         self.n_ingested += 1
         return new
@@ -274,6 +238,20 @@ class OnlinePredictionSession:
         """
         if not events:
             return []
+        self._validate(events)
+        batch = getattr(self._stack, "ingest_batch", None)
+        if batch is not None:
+            new = batch(events)
+        else:
+            new = []
+            for event in events:
+                new.extend(self._stack.ingest(event))
+        self.n_ingested += len(events)
+        return new
+
+    def _validate(self, events: list[RASEvent]) -> None:
+        """Reject events before the origin or (without reorder slack) out
+        of time order, before any of them reaches the stack."""
         last = self._core.last_time
         for event in events:
             if event.timestamp < self.origin:
@@ -288,15 +266,6 @@ class OnlinePredictionSession:
                         f"({event.timestamp} < {last})"
                     )
                 last = event.timestamp
-        batch = getattr(self._stack, "ingest_batch", None)
-        if batch is not None:
-            new = batch(events)
-        else:
-            new = []
-            for event in events:
-                new.extend(self._stack.ingest(event))
-        self.n_ingested += len(events)
-        return new
 
     def flush(self) -> list[FailureWarning]:
         """Drain the reorder buffer (end of stream); returns new warnings."""

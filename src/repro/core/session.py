@@ -17,6 +17,8 @@ Every layer implements the same three-method :class:`StreamSession`
 protocol (``ingest`` / ``advance`` / ``flush``), so stacks are built by
 plain composition — ``JournalingSession(ReorderingSession(core))`` — and
 a fleet-level service can wrap N cores without any of them knowing.
+The batch :class:`~repro.core.framework.DynamicMetaLearningFramework`
+is a replay driver over one core, so there is a single engine.
 
 The core itself performs no durable I/O: it owns no files, no journal,
 no checkpoint format.  (It *does* record process-local metrics through
@@ -29,19 +31,19 @@ disk.)  Checkpoint serialization lives with the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro import observe
 from repro.adapt import DriftMonitor
 from repro.alerts import FailureWarning
-from repro.core.framework import FrameworkConfig, RetrainEvent
+from repro.core.config import FrameworkConfig
 from repro.core.knowledge import KnowledgeRepository
 from repro.core.meta import MetaLearner
 from repro.core.predictor import Predictor
 from repro.core.reviser import Reviser
-from repro.core.tracking import ChurnHistory, diff_rule_sets
+from repro.core.tracking import ChurnHistory, ChurnRecord, diff_rule_sets
 from repro.evaluation.matching import MatchResult, match_warnings
 from repro.parallel.executor import Executor
 from repro.raslog.catalog import EventCatalog, default_catalog
@@ -49,6 +51,10 @@ from repro.raslog.events import RASEvent
 from repro.raslog.store import EventLog
 from repro.resilience.degrade import RetrainFailure, backoff_delay
 from repro.utils.timeutil import WEEK_SECONDS
+
+#: Prediction-window hook: ``tuner(week, train_log, meta, reviser)``
+#: returns the window ``Wp`` a retraining trains, revises and predicts with.
+WindowTuner = Callable[[int, EventLog, MetaLearner, Reviser], float]
 
 
 @runtime_checkable
@@ -60,6 +66,21 @@ class StreamSession(Protocol):
     def advance(self, now: float) -> list[FailureWarning]: ...
 
     def flush(self) -> list[FailureWarning]: ...
+
+
+@dataclass
+class RetrainEvent:
+    """Telemetry of one retraining round."""
+
+    week: int
+    train_span: tuple[int, int]
+    n_candidates: int
+    n_kept: int
+    churn: ChurnRecord
+    generation_seconds: float
+    revise_seconds: float
+    #: per-learner training seconds (measured on the executor's workers)
+    learner_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -108,10 +129,15 @@ class SessionCore:
         catalog: EventCatalog | None = None,
         executor: Executor | None = None,
         origin: float = 0.0,
+        window_tuner: WindowTuner | None = None,
     ) -> None:
         self.config = config or FrameworkConfig()
         self.catalog = catalog or default_catalog()
         self.origin = float(origin)
+        self._window_tuner = window_tuner
+        #: the active prediction window ``Wp``; only a window tuner moves
+        #: it away from ``config.prediction_window``
+        self.prediction_window = self.config.prediction_window
         self.meta = MetaLearner(
             learners=self.config.learners,
             catalog=self.catalog,
@@ -208,16 +234,15 @@ class SessionCore:
         train_log = history.slice_weeks(w0, w1)
 
         with observe.span("online.retrain"):
-            output = self.meta.train(
-                train_log, cfg.prediction_window, week=week
-            )
+            window = self.prediction_window
+            if self._window_tuner is not None:
+                window = self._window_tuner(week, train_log, self.meta, self.reviser)
+            output = self.meta.train(train_log, window, week=week)
             candidates = output.records()
             candidate_keys = {r.key for r in candidates}
 
             if cfg.use_reviser:
-                revision = self.reviser.revise(
-                    candidates, train_log, cfg.prediction_window
-                )
+                revision = self.reviser.revise(candidates, train_log, window)
                 kept, removed_keys = revision.kept, revision.removed_keys
                 revise_seconds = revision.seconds
             else:
@@ -242,15 +267,15 @@ class SessionCore:
                 )
             )
 
+            self.prediction_window = window
             self._predictor = self.make_predictor()
             # Re-prime the fresh predictor with the last Wp seconds of the
             # stream: the rule set changed but the system's recent past did
             # not, so precursors that arrived just before the boundary must
-            # still be able to complete a rule (batch/stream equivalence).
+            # still be able to complete a rule.
             boundary = self._boundary_time(week)
             self._predictor.prime(
-                history.between(boundary - cfg.prediction_window, boundary),
-                now=boundary,
+                history.between(boundary - window, boundary), now=boundary
             )
 
     def make_predictor(self) -> Predictor:
@@ -258,12 +283,11 @@ class SessionCore:
         cfg = self.config
         return Predictor(
             self.repository.rules(),
-            window=cfg.prediction_window,
+            window=self.prediction_window,
             catalog=self.catalog,
             ensemble=cfg.ensemble,
             dist_horizon_cap=cfg.dist_horizon_cap,
             rule_weights=self.repository.precision_weights(),
-            indexing=cfg.predictor_indexing,
         )
 
     def _schedule_after(self, week: int) -> None:
@@ -313,9 +337,10 @@ class SessionCore:
             if self._adapt is not None:
                 self._adapt.retrained(week)
 
-    def _cross_boundaries(self, t: float) -> None:
+    def cross_boundaries(self, t: float) -> None:
         """Run any retrainings whose boundary the stream has crossed, and
-        any backoff-elapsed retry owed from earlier failures."""
+        any backoff-elapsed retry owed from earlier failures.  Unlike
+        :meth:`advance`, this neither moves the clock nor runs the timer."""
         while (
             self._next_retrain_week is not None
             and t >= self._boundary_time(self._next_retrain_week)
@@ -355,7 +380,7 @@ class SessionCore:
                 f"events must arrive in time order "
                 f"({event.timestamp} < {self._last_time})"
             )
-        self._cross_boundaries(event.timestamp)
+        self.cross_boundaries(event.timestamp)
         self._last_time = event.timestamp
         self._events.append(event)
         observe.counter("online.events").inc()
@@ -381,7 +406,7 @@ class SessionCore:
             raise ValueError(
                 f"clock moved backwards: {now} < {self._last_time}"
             )
-        self._cross_boundaries(now)
+        self.cross_boundaries(now)
         self._last_time = now
         if self._predictor is None or self.config.tick is None:
             return []
@@ -446,4 +471,4 @@ class SessionCore:
         return min(self._boundary_time(w0), self._boundary_time(first) - wp)
 
 
-__all__ = ["SessionCore", "SessionSummary", "StreamSession"]
+__all__ = ["RetrainEvent", "SessionCore", "SessionSummary", "StreamSession"]

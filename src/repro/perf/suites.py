@@ -187,7 +187,7 @@ def suite_predictor_feed(smoke: bool = False) -> tuple[dict, dict]:
 
 def suite_service_throughput(smoke: bool = False) -> tuple[dict, dict]:
     """End-to-end streaming: one session vs a sharded fleet."""
-    from repro.core.framework import FrameworkConfig
+    from repro.core.config import FrameworkConfig
     from repro.core.online import OnlinePredictionSession
     from repro.observe import MetricsRegistry, use_registry
     from repro.preprocess.pipeline import PreprocessingPipeline
@@ -588,7 +588,7 @@ def _commit_contrast(
 
 def suite_serve_ingest(smoke: bool = False) -> tuple[dict, dict]:
     """Network serving throughput plus the in-process batching contrast."""
-    from repro.core.framework import FrameworkConfig
+    from repro.core.config import FrameworkConfig
     from repro.observe import MetricsRegistry, use_registry
     from repro.preprocess.pipeline import PreprocessingPipeline
     from repro.raslog.generator import GeneratorConfig, generate_log

@@ -173,7 +173,7 @@ def config_to_dict(config) -> dict[str, Any]:
 
 def config_from_dict(data: dict[str, Any]):
     """Rebuild a :class:`FrameworkConfig` from :func:`config_to_dict`."""
-    from repro.core.framework import FrameworkConfig
+    from repro.core.config import FrameworkConfig
     from repro.core.windows import TrainingPolicy
 
     data = dict(data)
@@ -241,7 +241,7 @@ def retrain_event_to_dict(event) -> dict[str, Any]:
 
 
 def retrain_event_from_dict(data: dict[str, Any]):
-    from repro.core.framework import RetrainEvent
+    from repro.core.session import RetrainEvent
 
     return RetrainEvent(
         week=data["week"],

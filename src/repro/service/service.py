@@ -55,7 +55,7 @@ from pathlib import Path
 
 from repro import faults, observe
 from repro.alerts import FailureWarning
-from repro.core.framework import FrameworkConfig
+from repro.core.config import FrameworkConfig
 from repro.core.session import SessionSummary
 from repro.parallel.executor import Executor
 from repro.raslog.catalog import EventCatalog, default_catalog

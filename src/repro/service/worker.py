@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import faults, observe
-from repro.core.framework import FrameworkConfig
+from repro.core.config import FrameworkConfig
 from repro.core.online import OnlinePredictionSession
 from repro.observe.wrappers import MeteredSession
 from repro.parallel.executor import make_executor

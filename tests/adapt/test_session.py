@@ -14,7 +14,7 @@ import pytest
 
 from repro import faults
 from repro.adapt import CAUSE_INITIAL, CAUSE_MAX_INTERVAL
-from repro.core.framework import FrameworkConfig
+from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
 from repro.core.online import OnlinePredictionSession
 from repro.core.session import SessionCore
 from repro.core.windows import TrainingPolicy
@@ -47,6 +47,27 @@ class TestFixedTriggerUnchanged:
         stream(session, shifted)
         # metronome cadence: every 2 weeks, drift or not
         assert [r.week for r in session.retrains] == [2, 4, 6, 8]
+
+
+class TestBatchHonoursTrigger:
+    def test_batch_run_matches_streamed_core(self, catalog, shifted):
+        """The batch framework replays through the session core, so the
+        adaptive trigger schedules its retrainings too."""
+        result = DynamicMetaLearningFramework(
+            adaptive_config(), catalog=catalog
+        ).run(shift_log(weeks=10, shift_week=5))
+        core = stream(SessionCore(adaptive_config(), catalog=catalog), shifted)
+        assert result.warnings == core.warnings
+        assert [r.week for r in result.retrains] == [
+            r.week for r in core.retrains
+        ]
+        # A batch run that ignores the trigger runs the fixed cadence.
+        fixed = DynamicMetaLearningFramework(
+            adaptive_config(retrain_trigger="fixed"), catalog=catalog
+        ).run(shift_log(weeks=10, shift_week=5))
+        assert [r.week for r in result.retrains] != [
+            r.week for r in fixed.retrains
+        ]
 
 
 class TestAdaptiveScheduling:

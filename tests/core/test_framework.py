@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import GeneratorConfig, SDSC_PROFILE, generate_log
 from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
+from repro.core.session import SessionCore
 from repro.core.windows import dynamic_months, static_initial
 from repro.utils.timeutil import WEEK_SECONDS
+from tests.conftest import make_log
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +195,65 @@ class TestDeterminism:
         assert len(r1.warnings) == len(r2.warnings)
         assert [w.time for w in r1.warnings] == [w.time for w in r2.warnings]
         assert r1.overall == r2.overall
+
+
+def pattern_log(weeks):
+    """A -> B -> FATAL every three hours for ``weeks`` weeks."""
+    specs = []
+    t = 600.0
+    while t + 120.0 < weeks * WEEK_SECONDS:
+        specs += [
+            (t, "KERNEL-N-002"),
+            (t + 60.0, "KERNEL-N-003"),
+            (t + 120.0, "KERNEL-F-000"),
+        ]
+        t += 10_800.0
+    return make_log(specs)
+
+
+class TestReplayDriver:
+    def test_end_week_past_last_event_retrains(self, catalog):
+        """Empty trailing weeks keep their scheduled retrainings."""
+        log = pattern_log(6)
+        config = FrameworkConfig(initial_train_weeks=2, retrain_weeks=2)
+        to_end = DynamicMetaLearningFramework(config, catalog=catalog).run(log)
+        past = DynamicMetaLearningFramework(config, catalog=catalog).run(
+            log, end_week=10
+        )
+        assert [r.week for r in to_end.retrains] == [2, 4]
+        assert [r.week for r in past.retrains] == [2, 4, 6, 8]
+        assert past.warnings == to_end.warnings
+
+    def test_end_week_past_last_event_runs_no_timer(self):
+        """The deployment timer is not run through empty trailing weeks,
+        although a stream advanced to the same instant would fire it."""
+        trace = generate_log(
+            SDSC_PROFILE,
+            GeneratorConfig(scale=0.5, weeks=8, seed=5, duplicates=False),
+        )
+        log = trace.clean
+        config = FrameworkConfig(initial_train_weeks=4, policy=static_initial(1))
+        to_end = DynamicMetaLearningFramework(
+            config, catalog=trace.catalog
+        ).run(log)
+        past = DynamicMetaLearningFramework(config, catalog=trace.catalog).run(
+            log, end_week=log.n_weeks + 2
+        )
+        assert past.warnings == to_end.warnings
+        assert [w.n_warnings for w in past.weekly[-2:]] == [0, 0]
+
+        core = SessionCore(config, catalog=trace.catalog, origin=log.origin)
+        for event in log:
+            core.ingest(event)
+        core.advance(log.origin + (log.n_weeks + 1) * WEEK_SECONDS)
+        assert len(core.warnings) > len(past.warnings)
+
+    def test_config_and_engine_share_one_definition(self):
+        """The framework imports its config and the session core, never
+        the other way round; the public import path still works."""
+        from repro.core import config, framework, session
+
+        assert framework.FrameworkConfig is config.FrameworkConfig
+        assert session.FrameworkConfig is config.FrameworkConfig
+        assert framework.RetrainEvent is session.RetrainEvent
+        assert not hasattr(session, "DynamicMetaLearningFramework")

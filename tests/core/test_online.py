@@ -18,9 +18,13 @@ def config():
 
 
 class TestBatchEquivalence:
-    def test_same_warnings_as_batch(self, mid_trace, config):
-        """The headline guarantee: streaming a log event-by-event yields
-        exactly the warning stream of a batch framework run."""
+    """The headline guarantee: streaming a log event-by-event yields
+    exactly the warnings, retraining schedule, churn and accuracy of a
+    batch framework run. Batch and stream each run once, shared by the
+    tests below."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, mid_trace, config):
         log = mid_trace.clean
         batch = DynamicMetaLearningFramework(
             config, catalog=mid_trace.catalog
@@ -29,17 +33,15 @@ class TestBatchEquivalence:
         streamed = []
         for event in log:
             streamed.extend(session.ingest(event))
+        return batch, session, streamed
+
+    def test_same_warnings_as_batch(self, runs):
+        batch, session, streamed = runs
         assert streamed == batch.warnings
         assert session.warnings == batch.warnings
 
-    def test_same_retraining_schedule(self, mid_trace, config):
-        log = mid_trace.clean
-        batch = DynamicMetaLearningFramework(
-            config, catalog=mid_trace.catalog
-        ).run(log)
-        session = OnlinePredictionSession(config, catalog=mid_trace.catalog)
-        for event in log:
-            session.ingest(event)
+    def test_same_retraining_schedule(self, runs):
+        batch, session, _ = runs
         assert [r.week for r in session.retrains] == [
             r.week for r in batch.retrains
         ]
@@ -48,14 +50,8 @@ class TestBatchEquivalence:
         ]
         assert session.churn.series() == batch.churn.series()
 
-    def test_summary_matches_batch_metrics(self, mid_trace, config):
-        log = mid_trace.clean
-        batch = DynamicMetaLearningFramework(
-            config, catalog=mid_trace.catalog
-        ).run(log)
-        session = OnlinePredictionSession(config, catalog=mid_trace.catalog)
-        for event in log:
-            session.ingest(event)
+    def test_summary_matches_batch_metrics(self, runs):
+        batch, session, _ = runs
         summary = session.summary()
         assert summary.precision == pytest.approx(batch.overall.precision)
         assert summary.recall == pytest.approx(batch.overall.recall)
@@ -168,7 +164,7 @@ class TestStreamDiscipline:
         session = OnlinePredictionSession(config, catalog=catalog)
         w = session.ingest(make_event(100.0, "KERNEL-N-000"))
         assert w == []
-        assert not session.started
+        assert not session.core.started
 
     def test_out_of_order_rejected(self, catalog, config):
         session = OnlinePredictionSession(config, catalog=catalog)
@@ -198,7 +194,7 @@ class TestStreamDiscipline:
         session = OnlinePredictionSession(config, catalog=catalog)
         for t in (10.0, 20.0, 30.0):
             session.ingest(make_event(t, "KERNEL-N-000"))
-        assert len(session.history()) == 3
+        assert len(session.core.history()) == 3
 
     def test_static_policy_trains_once(self, mid_trace, catalog):
         config = FrameworkConfig(

@@ -104,7 +104,7 @@ class TestRoutingAndLifecycle:
             ) as service:
                 stream(service, fleet_events(weeks=3))
                 for key in service.shard_keys:
-                    assert service.session(key).meta.executor is executor
+                    assert service.session(key).core.meta.executor is executor
             # not owned: still usable after the service closes
             assert executor.map(len, [[1, 2]]) == [2]
         finally:

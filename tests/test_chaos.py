@@ -185,16 +185,34 @@ class TestDegradedSession:
 
 class TestDegradedBatch:
     def test_framework_degrade_records_and_retries(self, catalog):
+        """A degraded batch run follows the stream's single retry policy
+        (capped backoff, not "next week"): same failures, same retrain
+        schedule, same warnings as a streamed session."""
         log = pattern_log()
-        plan = FaultPlan(learner_crashes=[LearnerCrash(week=4, attempts=1)])
-        framework = DynamicMetaLearningFramework(
-            degrade_config(), catalog=catalog
-        )
-        with faults.install(plan):
-            result = framework.run(log)
+
+        def plan():
+            return FaultPlan(learner_crashes=[LearnerCrash(week=4, attempts=1)])
+
+        with faults.install(plan()):
+            result = DynamicMetaLearningFramework(
+                degrade_config(), catalog=catalog
+            ).run(log)
+        session = OnlinePredictionSession(degrade_config(), catalog=catalog)
+        with faults.install(plan()):
+            stream(session, log)
+
         assert [f.week for f in result.retrain_failures] == [4]
-        # the owed retraining lands on the next week of the sweep
-        assert [r.week for r in result.retrains] == [2, 5, 6]
+        assert [
+            (f.week, f.error_type, f.attempt, f.time)
+            for f in result.retrain_failures
+        ] == [
+            (f.week, f.error_type, f.attempt, f.time)
+            for f in session.retrain_failures
+        ]
+        assert [r.week for r in result.retrains] == [
+            r.week for r in session.retrains
+        ]
+        assert result.warnings == session.warnings
 
     def test_framework_default_raises(self, catalog):
         log = pattern_log(6)
@@ -222,7 +240,7 @@ class TestBrokenPool:
             stream(session, log)
         assert plan.injected == ["pool:1"]
         assert registry.counter("meta.train.serial_fallback").value == 1
-        assert isinstance(session.meta.executor, SerialExecutor)
+        assert isinstance(session.core.meta.executor, SerialExecutor)
         assert [r.week for r in session.retrains] == [2, 4]
         assert session.warnings
 
