@@ -6,6 +6,12 @@ select the low-level event type.  After categorization an event's
 ``entry_data`` holds the catalog *code*, which is the identity the learners
 and the predictor operate on.
 
+A raw log repeats a few hundred distinct descriptions thousands of times
+each, so :meth:`Categorizer.categorize` normalizes and classifies each
+distinct ``(facility, entry_data)`` message once per log and reuses the
+result for its repeats; the unknown policy and the report still see every
+row.
+
 Fake-fatal handling: the paper removes events whose logged severity is
 FATAL/FAILURE but which administrators classified as benign.  Those types
 carry ``fatal=False`` in the catalog, so simply classifying through the
@@ -23,6 +29,8 @@ from repro.raslog.events import Facility, RASEvent
 from repro.raslog.store import EventLog
 
 _WS = re.compile(r"\s+")
+_BRACKET_TAIL = re.compile(r"\s*\[[^\]]*\]$")
+_NUMERIC_TAIL = re.compile(r"\s*(0x[0-9a-f]+|\d+)$")
 
 
 def normalize_description(text: str) -> str:
@@ -31,8 +39,8 @@ def normalize_description(text: str) -> str:
     (e.g. ``"ddr error ... at 0x0bc0"`` → the generic type text)."""
     text = _WS.sub(" ", text.strip().lower())
     # Strip bracketed or hex/numeric tails that encode per-instance detail.
-    text = re.sub(r"\s*\[[^\]]*\]$", "", text)
-    text = re.sub(r"\s*(0x[0-9a-f]+|\d+)$", "", text)
+    text = _BRACKET_TAIL.sub("", text)
+    text = _NUMERIC_TAIL.sub("", text)
     return text.strip()
 
 
@@ -100,10 +108,19 @@ class Categorizer:
     def categorize(
         self, log: EventLog, report: CategorizationReport | None = None
     ) -> EventLog:
-        """Rewrite ``entry_data`` to catalog codes; apply the unknown policy."""
+        """Rewrite ``entry_data`` to catalog codes; apply the unknown policy.
+
+        The memo of classified messages lives for this call only, so it is
+        bounded by the log's distinct messages.
+        """
         out: list[RASEvent] = []
+        memo: dict[tuple[Facility, str], EventType | None] = {}
         for event in log:
-            etype = self.classify(event)
+            key = (event.facility, event.entry_data)
+            if key in memo:
+                etype = memo[key]
+            else:
+                etype = memo[key] = self.classify(event)
             if etype is None:
                 if self.unknown == "error":
                     raise ValueError(

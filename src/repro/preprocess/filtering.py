@@ -169,8 +169,8 @@ def compress(
 
     The returned stats are end-to-end (raw input vs final output).
     """
-    after_temporal, _ = temporal_compress(log, threshold)
-    out, _ = spatial_compress(after_temporal, threshold)
+    after_temporal = _coalesce(log, threshold, with_location=True)
+    out = _coalesce(after_temporal, threshold, with_location=False)
     return out, FilterStats.from_logs(threshold, log, out)
 
 

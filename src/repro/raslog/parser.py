@@ -26,6 +26,12 @@ from repro.raslog.store import EventLog
 #: Number of whitespace-separated header fields before the message text.
 _HEADER_FIELDS = 9
 
+#: Facility and severity tokens by their canonical spellings, so the
+#: common case costs one dict lookup; other spellings fall back to
+#: ``Facility.parse``/``Severity.parse``.
+_FACILITY_TOKENS = {f.value: f for f in Facility}
+_SEVERITY_TOKENS = {s.name: s for s in Severity}
+
 
 class ParseError(ValueError):
     """A malformed log line encountered in strict mode."""
@@ -68,14 +74,18 @@ def parse_line(line: str, line_no: int = 0) -> RASEvent:
         timestamp = float(int(epoch_s))
     except ValueError:
         raise ParseError(line_no, line, f"bad epoch field {epoch_s!r}") from None
-    try:
-        facility = Facility.parse(fac_s)
-    except ValueError:
-        raise ParseError(line_no, line, f"unknown facility {fac_s!r}") from None
-    try:
-        severity = Severity.parse(sev_s)
-    except ValueError:
-        raise ParseError(line_no, line, f"unknown severity {sev_s!r}") from None
+    facility = _FACILITY_TOKENS.get(fac_s)
+    if facility is None:
+        try:
+            facility = Facility.parse(fac_s)
+        except ValueError:
+            raise ParseError(line_no, line, f"unknown facility {fac_s!r}") from None
+    severity = _SEVERITY_TOKENS.get(sev_s)
+    if severity is None:
+        try:
+            severity = Severity.parse(sev_s)
+        except ValueError:
+            raise ParseError(line_no, line, f"unknown severity {sev_s!r}") from None
     # The alert label marks lines LogHub's curators flagged; keep it in the
     # event_type channel alongside the recording mechanism.
     event_type = mechanism if label == "-" else f"{mechanism}:{label}"

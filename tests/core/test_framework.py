@@ -120,7 +120,8 @@ class TestPolicies:
         fw = DynamicMetaLearningFramework(config, catalog=mid_trace.catalog)
         result = fw.run(mid_trace.clean)
         assert len(result.retrains) == 1
-        assert result.retrains[0].train_span == (0, 21)  # 5 months ≈ 21 wk
+        # 5 months ≈ 21 wk, clamped to the 20 weeks the engine has seen
+        assert result.retrains[0].train_span == (0, 20)
 
     def test_no_reviser_keeps_all_candidates(self, mid_trace):
         config = FrameworkConfig(

@@ -205,6 +205,17 @@ class TestStreamDiscipline:
             session.ingest(event)
         assert len(session.retrains) == 1
 
+    def test_static_span_clamped_to_seen_weeks(self, mid_trace):
+        """A static policy longer than the initial training reports only
+        the weeks before the boundary: the engine has seen no others."""
+        config = FrameworkConfig(
+            initial_train_weeks=4, policy=static_initial(3)
+        )
+        session = OnlinePredictionSession(config, catalog=mid_trace.catalog)
+        for event in mid_trace.clean.slice_weeks(0, 6):
+            session.ingest(event)
+        assert [r.train_span for r in session.retrains] == [(0, 4)]
+
     def test_sparse_stream_crosses_multiple_boundaries(self, mid_trace, catalog):
         """A long silent gap spanning several retraining boundaries only
         applies the latest retraining (as the batch framework would when

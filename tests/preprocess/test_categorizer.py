@@ -8,6 +8,7 @@ from repro.preprocess.categorizer import (
     normalize_description,
 )
 from repro.raslog.events import Facility, Severity
+from repro.raslog.store import EventLog
 from tests.conftest import make_event, make_log
 
 
@@ -146,3 +147,102 @@ class TestFakeFatalRemoval:
         cat.categorize(sample, report)
         assert report.unmatched == 0
         assert report.match_rate == 1.0
+
+
+def _per_row(cat, log):
+    """Reference categorization: classify every row, no memo."""
+    out, report = [], CategorizationReport()
+    for event in log:
+        etype = cat.classify(event)
+        if etype is None:
+            if cat.unknown == "error":
+                raise ValueError(
+                    f"uncategorizable event: facility={event.facility.value} "
+                    f"entry_data={event.entry_data!r}"
+                )
+            report.record_unmatched(event.facility)
+            if cat.unknown == "keep":
+                out.append(event)
+            continue
+        report.matched += 1
+        if event.severity.is_fatal_class and not etype.fatal:
+            report.demoted_fatals += 1
+        out.append(event.with_entry_data(etype.code))
+    return out, report
+
+
+class TestMemoEquivalence:
+    """Classifying each distinct message once gives exactly the per-row
+    result, row for row and count for count."""
+
+    @pytest.fixture(scope="class")
+    def raw(self, small_trace):
+        """Raw rows with repeats, plus injected unknown descriptions, a
+        known description under its own and a wrong facility, fake
+        fatals, detail-suffixed variants and already-categorized codes,
+        each repeated; and rows whose per-instance tails (hex address,
+        bracketed detail, counter) make every one a distinct message."""
+        catalog = small_trace.catalog
+        fake = catalog.fake_fatal_types()[0]
+        injected = [
+            ("mystery event", Facility.KERNEL, Severity.INFO),
+            ("mystery event", Facility.APP, Severity.ERROR),
+            ("uncorrectable torus error", Facility.APP, Severity.FATAL),
+            ("uncorrectable torus error", Facility.KERNEL, Severity.FATAL),
+            ("another unknown 0x1f", Facility.MMCS, Severity.FATAL),
+            (fake.description, fake.facility, Severity.FATAL),
+            (fake.description.upper() + " 42", fake.facility, Severity.FAILURE),
+            (fake.code, fake.facility, Severity.FATAL),
+            ("KERNEL-N-000", Facility.KERNEL, Severity.INFO),
+        ]
+        events = list(small_trace.raw[:3000])
+        rows = []
+        for i, event in enumerate(events):
+            rows.append(event)
+            if i % 97 == 0:
+                text, facility, severity = injected[(i // 97) % len(injected)]
+                rows.append(
+                    make_event(
+                        event.timestamp, text, facility=facility,
+                        severity=severity, record_id=event.record_id,
+                    )
+                )
+            if i % 53 == 0:
+                tails = (f" 0x{i:04x}", f" [{i}]", f" {i}")
+                text = event.entry_data + tails[(i // 53) % len(tails)]
+                if i % 3 == 0:
+                    text = f"mystery event {i}"
+                rows.append(
+                    make_event(
+                        event.timestamp, text, facility=event.facility,
+                        severity=event.severity, record_id=event.record_id,
+                    )
+                )
+        return EventLog(rows, origin=small_trace.raw.origin)
+
+    def test_input_has_repeats_and_unknowns(self, raw):
+        keys = [(e.facility, e.entry_data) for e in raw]
+        assert len(set(keys)) < len(keys) // 10
+        assert sum(e.entry_data == "mystery event" for e in raw) > 2
+        assert sum(keys.count(k) == 1 for k in set(keys)) > 40
+
+    @pytest.mark.parametrize("unknown", ["skip", "keep"])
+    def test_same_events_and_report(self, catalog, raw, unknown):
+        cat = Categorizer(catalog, unknown=unknown)
+        report = CategorizationReport()
+        out = cat.categorize(raw, report)
+        expected, expected_report = _per_row(cat, raw)
+        assert list(out) == expected
+        assert report == expected_report
+        assert report.unmatched > 0 and report.demoted_fatals > 0
+        assert out.origin == raw.origin
+
+    def test_error_policy_raises_on_first_unknown_row(self, catalog, raw):
+        cat = Categorizer(catalog, unknown="error")
+        with pytest.raises(ValueError) as expected:
+            _per_row(cat, raw)
+        with pytest.raises(ValueError) as got:
+            cat.categorize(raw, CategorizationReport())
+        assert str(got.value) == str(expected.value)
+        first = next(e for e in raw if cat.classify(e) is None)
+        assert repr(first.entry_data) in str(got.value)

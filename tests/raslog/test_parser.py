@@ -67,10 +67,47 @@ class TestParseLine:
         assert e.entry_data == ""
 
 
+class TestTokenLookup:
+    """The canonical-spelling tables agree with Facility.parse and
+    Severity.parse on every other spelling, errors included."""
+
+    @pytest.mark.parametrize(
+        "token", ["KERNEL", "kernel", "SERV_NET", "serv-net", "Serv_Net", "QUANTUM"]
+    )
+    def test_facility_token(self, token):
+        line = GOOD_LINE.replace(" KERNEL ", f" {token} ")
+        try:
+            expected = Facility.parse(token)
+        except ValueError:
+            with pytest.raises(ParseError) as err:
+                parse_line(line)
+            assert err.value.reason == f"unknown facility {token!r}"
+        else:
+            assert parse_line(line).facility is expected
+
+    @pytest.mark.parametrize(
+        "token", ["FATAL", "Fatal", "failure", "INFO", "warning", "MEH"]
+    )
+    def test_severity_token(self, token):
+        line = GOOD_LINE.replace(" INFO ", f" {token} ")
+        try:
+            expected = Severity.parse(token)
+        except ValueError:
+            with pytest.raises(ParseError) as err:
+                parse_line(line)
+            assert err.value.reason == f"unknown severity {token!r}"
+        else:
+            assert parse_line(line).severity is expected
+
+
 class TestIterLines:
     def test_skips_blank_lines(self):
-        events = list(iter_lines([GOOD_LINE, "", "  ", ALERT_LINE]))
+        report = ParseReport()
+        events = list(iter_lines([GOOD_LINE, "", "  \n", ALERT_LINE], report=report))
         assert len(events) == 2
+        # A blank line is not a malformed one.
+        assert report.parsed == 2
+        assert report.skipped == 0
 
     def test_lenient_skips_bad_lines(self):
         report = ParseReport()
