@@ -231,9 +231,6 @@ class SessionCore:
         cfg = self.config
         history = self.history()
         w0, w1 = cfg.policy.window(week)
-        # A static span may run past the retraining week; like every other
-        # policy, train on (and report) only the weeks before it.
-        w1 = min(w1, week)
         train_log = history.slice_weeks(w0, w1)
 
         with observe.span("online.retrain"):

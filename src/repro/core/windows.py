@@ -21,8 +21,9 @@ class TrainingPolicy:
     ``kind``:
       * ``"growing"`` — train on everything seen so far (dynamic-whole);
       * ``"sliding"`` — train on the most recent ``length_weeks`` weeks;
-      * ``"static"``  — always the initial ``length_weeks`` weeks (and no
-        retraining should be triggered by the framework).
+      * ``"static"``  — always the initial ``length_weeks`` weeks, cut at
+        the current week like every other span (and no retraining should
+        be triggered by the framework).
     """
 
     kind: str
@@ -51,7 +52,8 @@ class TrainingPolicy:
             return (0, current_week)
         if self.kind == "sliding":
             return (max(0, current_week - self.length_weeks), current_week)
-        return (0, self.length_weeks)
+        # Static: the initial weeks, but never past the retraining week.
+        return (0, min(self.length_weeks, current_week))
 
 
 def dynamic_whole() -> TrainingPolicy:

@@ -6,11 +6,16 @@ select the low-level event type.  After categorization an event's
 ``entry_data`` holds the catalog *code*, which is the identity the learners
 and the predictor operate on.
 
-A raw log repeats a few hundred distinct descriptions thousands of times
-each, so :meth:`Categorizer.categorize` normalizes and classifies each
-distinct ``(facility, entry_data)`` message once per log and reuses the
-result for its repeats; the unknown policy and the report still see every
-row.
+:meth:`Categorizer.classify_rows` is the one per-row classification loop:
+it applies the unknown policy, fills every :class:`CategorizationReport`
+tally, and returns the kept rows' indices with their identity (the catalog
+code, or the raw text of an unknown row under ``unknown="keep"``) without
+building any event.  The preprocessing pipeline filters on those columns
+and rebuilds only the survivors; :meth:`Categorizer.categorize` is the same
+loop followed by the rebuild of every kept row.  A raw log repeats a few
+hundred distinct descriptions thousands of times each, so the loop
+normalizes and classifies each distinct message once per call and reuses
+the result for its repeats.
 
 Fake-fatal handling: the paper removes events whose logged severity is
 FATAL/FAILURE but which administrators classified as benign.  Those types
@@ -22,10 +27,11 @@ demoted this way.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.raslog.catalog import EventCatalog, EventType, default_catalog
-from repro.raslog.events import Facility, RASEvent
+from repro.raslog.events import Facility, RASEvent, Severity
 from repro.raslog.store import EventLog
 
 _WS = re.compile(r"\s+")
@@ -54,11 +60,17 @@ class CategorizationReport:
     demoted_fatals: int = 0
     unmatched_by_facility: dict[Facility, int] = field(default_factory=dict)
 
-    def record_unmatched(self, facility: Facility) -> None:
-        self.unmatched += 1
-        self.unmatched_by_facility[facility] = (
-            self.unmatched_by_facility.get(facility, 0) + 1
-        )
+    def add(
+        self, matched: int, demoted_fatals: int, unmatched: dict[Facility, int]
+    ) -> None:
+        """Add a pass's tallies (``unmatched`` counts rows per facility)."""
+        self.matched += matched
+        self.demoted_fatals += demoted_fatals
+        for facility, n in unmatched.items():
+            self.unmatched += n
+            self.unmatched_by_facility[facility] = (
+                self.unmatched_by_facility.get(facility, 0) + n
+            )
 
     @property
     def total(self) -> int:
@@ -105,39 +117,73 @@ class Categorizer:
         etype = self.classify(event)
         return etype.fatal if etype is not None else False
 
-    def categorize(
-        self, log: EventLog, report: CategorizationReport | None = None
-    ) -> EventLog:
-        """Rewrite ``entry_data`` to catalog codes; apply the unknown policy.
+    def classify_rows(
+        self,
+        events: Sequence[RASEvent],
+        report: CategorizationReport | None = None,
+    ) -> tuple[list[int], list[str]]:
+        """Classify every row; return the kept rows and their identity.
+
+        The first list holds the indices (ascending) of the rows the
+        unknown policy keeps; the second, for each of them, the catalog
+        code, or the raw ``entry_data`` of an unknown row kept under
+        ``unknown="keep"``.  Under ``unknown="error"`` the first unknown
+        row raises, after the rows before it are tallied in *report*.
 
         The memo of classified messages lives for this call only, so it is
-        bounded by the log's distinct messages.
+        bounded by the log's distinct messages.  Its key carries the
+        severity so that a row's fake-fatal demotion is memoized too.
         """
-        out: list[RASEvent] = []
-        memo: dict[tuple[Facility, str], EventType | None] = {}
-        for event in log:
-            key = (event.facility, event.entry_data)
-            if key in memo:
-                etype = memo[key]
-            else:
-                etype = memo[key] = self.classify(event)
-            if etype is None:
+        rows: list[int] = []
+        identity: list[str] = []
+        memo: dict[tuple[Facility, str, Severity], tuple[str | None, bool]] = {}
+        matched = demoted = 0
+        unmatched: dict[Facility, int] = {}
+        for i, event in enumerate(events):
+            key = (event.facility, event.entry_data, event.severity)
+            outcome = memo.get(key)
+            if outcome is None:
+                etype = self.classify(event)
+                if etype is None:
+                    outcome = (None, False)
+                else:
+                    demote = event.severity.is_fatal_class and not etype.fatal
+                    outcome = (etype.code, demote)
+                memo[key] = outcome
+            code, demote = outcome
+            if code is None:
                 if self.unknown == "error":
+                    if report is not None:
+                        report.add(matched, demoted, unmatched)
                     raise ValueError(
                         f"uncategorizable event: facility={event.facility.value} "
                         f"entry_data={event.entry_data!r}"
                     )
-                if report is not None:
-                    report.record_unmatched(event.facility)
-                if self.unknown == "keep":
-                    out.append(event)
-                continue
-            if report is not None:
-                report.matched += 1
-                if event.severity.is_fatal_class and not etype.fatal:
-                    report.demoted_fatals += 1
-            out.append(event.with_entry_data(etype.code))
-        return EventLog(out, origin=log.origin, _presorted=True)
+                unmatched[event.facility] = unmatched.get(event.facility, 0) + 1
+                if self.unknown != "keep":
+                    continue
+                code = event.entry_data
+            else:
+                matched += 1
+                demoted += demote
+            rows.append(i)
+            identity.append(code)
+        if report is not None:
+            report.add(matched, demoted, unmatched)
+        return rows, identity
+
+    def categorize(
+        self, log: EventLog, report: CategorizationReport | None = None
+    ) -> EventLog:
+        """Rewrite ``entry_data`` to catalog codes; apply the unknown policy."""
+        rows, identity = self.classify_rows(log.events, report)
+        events = log.events
+        kept = tuple(
+            events[i].with_entry_data(code) for i, code in zip(rows, identity)
+        )
+        times = log.timestamps[rows]
+        times.setflags(write=False)
+        return EventLog._from_parts(kept, times, log.origin)
 
     def fatal_codes(self) -> frozenset[str]:
         """Codes in the (cleaned) failure list — fake fatals excluded."""

@@ -13,16 +13,27 @@ the threshold, are reduced to the earliest report.
 
 Event identity is the ``entry_data`` field — the free-text description in a
 raw log, or the catalog code after categorization; both work.
+
+Both steps, and exact-duplicate removal, are one kernel over integer key
+columns (:class:`KeyColumns`: timestamps, Job ID, identity, Location, each
+factorized once): :func:`dedup_rows` and :func:`compress_rows` take and
+return ascending row-index arrays, so the stages chain by masking indices
+and no intermediate log is built.  The preprocessing pipeline runs them on
+the categorizer's columns; :func:`deduplicate_exact`,
+:func:`temporal_compress`, :func:`spatial_compress` and :func:`compress`
+are adapters (log → columns → kernel → one selection).
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import compress as _itcompress
+from operator import attrgetter
 
 import numpy as np
 
-from repro.raslog.events import Facility
+from repro.raslog.events import Facility, RASEvent
 from repro.raslog.store import EventLog
 
 
@@ -59,107 +70,177 @@ class FilterStats:
         )
 
 
-def _factorize(values, n: int) -> tuple[np.ndarray, int]:
+#: A factorized key column: ``(codes, cardinality)``.
+Column = tuple[np.ndarray, int]
+
+_INT64_LIMIT = 2**63
+
+_JOB_ID = attrgetter("job_id")
+_ENTRY_DATA = attrgetter("entry_data")
+_LOCATION = attrgetter("location")
+
+
+def _factorize(values: Sequence[Hashable]) -> Column:
     """Hash-factorize a column of hashables into dense int64 codes.
 
-    A dict build is O(n) with C-speed hashing, which beats sort-based
-    ``np.unique`` on object arrays (those compare elements in Python).
+    Dict builds are O(n) with C-speed hashing, which beats sort-based
+    ``np.unique`` on object arrays (those compare elements in Python);
+    only the distinct values pass through Python bytecode.
     """
-    table: dict[object, int] = {}
+    table = {v: i for i, v in enumerate(dict.fromkeys(values))}
     codes = np.fromiter(
-        (table.setdefault(v, len(table)) for v in values),
-        dtype=np.int64,
-        count=n,
+        map(table.__getitem__, values), dtype=np.int64, count=len(values)
     )
     return codes, max(len(table), 1)
 
 
-def _group_ids(columns) -> np.ndarray:
-    """Fold ``(codes, cardinality)`` columns into one dense group id.
+def _group_ids(*columns: Column) -> np.ndarray:
+    """Fold key columns into one int64 group id.
 
     Rows are in the same group iff they are equal in every column.  The
-    combined id is re-compressed (``np.unique`` over int64, a C-speed
-    sort) after every fold, so ids stay dense and the mixed-radix
-    product can never overflow int64.
+    id is the mixed-radix number of the codes; it is re-compressed with
+    ``np.unique`` (a C-speed sort) only when the next fold could
+    overflow int64.
     """
-    columns = list(columns)
-    gid, _ = columns[0]
+    gid, radix = columns[0]
     for codes, cardinality in columns[1:]:
+        if radix * cardinality >= _INT64_LIMIT:
+            uniques, gid = np.unique(gid, return_inverse=True)
+            radix = len(uniques)
         gid = gid * np.int64(cardinality) + codes
-        _, gid = np.unique(gid, return_inverse=True)
+        radix *= cardinality
     return gid
 
 
-def _key_columns(log: EventLog, with_location: bool):
-    n = len(log)
-    columns = [
-        _factorize((e.job_id for e in log), n),
-        _factorize((e.entry_data for e in log), n),
-    ]
-    if with_location:
-        columns.append(_factorize((e.location for e in log), n))
-    return columns
+@dataclass(frozen=True)
+class KeyColumns:
+    """The filter's key columns over time-ordered rows, each factorized once.
+
+    ``times`` must be non-decreasing, as an :class:`EventLog`'s are; the
+    kernels below rely on it to keep the earliest row of every tuple.
+    """
+
+    times: np.ndarray
+    job: Column
+    identity: Column
+    location: Column
+
+    @classmethod
+    def of_events(
+        cls,
+        events: Iterable[RASEvent],
+        times: np.ndarray,
+        identity: Sequence[str] | None = None,
+    ) -> "KeyColumns":
+        """Columns of ``events``; ``identity`` defaults to their
+        ``entry_data``."""
+        events = list(events)
+        if identity is None:
+            identity = list(map(_ENTRY_DATA, events))
+        return cls(
+            times,
+            _factorize(list(map(_JOB_ID, events))),
+            _factorize(identity),
+            _factorize(list(map(_LOCATION, events))),
+        )
+
+    def all_rows(self) -> np.ndarray:
+        return np.arange(len(self.times))
 
 
-def _select(log: EventLog, keep: np.ndarray) -> EventLog:
-    if keep.all():
+def _chain_heads(
+    times: np.ndarray, gid: np.ndarray, rows: np.ndarray, gap: float
+) -> np.ndarray:
+    """The rows (ascending) that start a chain-tuple of their group.
+
+    Rows of one group form a tuple while each is within ``gap`` of the
+    one before it.  One stable argsort groups the rows while keeping
+    each group in time order; a tuple starts wherever the group id
+    changes or the gap to the previous row exceeds ``gap``.
+    """
+    if len(rows) == 0:
+        return rows
+    g = gid[rows]
+    order = np.argsort(g, kind="stable")
+    g = g[order]
+    t = times[rows][order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    np.not_equal(g[1:], g[:-1], out=starts[1:])
+    starts[1:] |= np.diff(t) > gap
+    return np.sort(rows[order[starts]])
+
+
+def dedup_rows(cols: KeyColumns, rows: np.ndarray) -> np.ndarray:
+    """Drop rows identical to an earlier one in time, job, identity and
+    location: a chain with zero gap, so the first occurrence wins."""
+    gid = _group_ids(cols.job, cols.identity, cols.location)
+    return _chain_heads(cols.times, gid, rows, 0.0)
+
+
+def compress_rows(
+    cols: KeyColumns,
+    rows: np.ndarray,
+    threshold: float,
+    *,
+    temporal: bool = True,
+    spatial: bool = True,
+) -> np.ndarray:
+    """Temporal, then spatial compression of ``rows`` (see the module
+    docs); threshold 0 keeps every row."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
+    if threshold == 0:
+        return rows
+    if temporal:
+        gid = _group_ids(cols.job, cols.identity, cols.location)
+        rows = _chain_heads(cols.times, gid, rows, threshold)
+    if spatial:
+        gid = _group_ids(cols.job, cols.identity)
+        rows = _chain_heads(cols.times, gid, rows, threshold)
+    return rows
+
+
+def _columns(log: EventLog) -> KeyColumns:
+    return KeyColumns.of_events(log.events, log.timestamps)
+
+
+def _select(log: EventLog, rows: np.ndarray) -> EventLog:
+    if len(rows) == len(log):
         return log
+    keep = np.zeros(len(log), dtype=bool)
+    keep[rows] = True
     kept = tuple(_itcompress(log.events, keep))
-    times = log.timestamps[keep]
+    times = log.timestamps[rows]
     times.setflags(write=False)
     return EventLog._from_parts(kept, times, log.origin)
 
 
-def _coalesce(
-    log: EventLog,
-    threshold: float,
-    with_location: bool,
-) -> EventLog:
-    """Keep the earliest record of every chain-tuple of a key group.
-
-    Records sharing a key (Job ID + event identity, plus Location when
-    ``with_location``) form tuples: consecutive records (in time) whose
-    gap is ≤ ``threshold`` belong to the same tuple.  Fully vectorized:
-    one stable argsort groups rows by key while preserving time order
-    inside each group, then a tuple starts wherever the group id changes
-    or the gap to the previous record exceeds the threshold.
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    if threshold == 0 or len(log) == 0:
-        return log
-
-    gid = _group_ids(_key_columns(log, with_location))
-    # Stable sort by group id: EventLog is time-sorted, so within each
-    # group the original (time) order is preserved.
-    order = np.argsort(gid, kind="stable")
-    ts = log.timestamps[order]
-    gid_sorted = gid[order]
-
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    np.not_equal(gid_sorted[1:], gid_sorted[:-1], out=starts[1:])
-    starts[1:] |= np.diff(ts) > threshold
-
-    keep = np.zeros(len(order), dtype=bool)
-    keep[order[starts]] = True
-    return _select(log, keep)
+def _compress_log(
+    log: EventLog, threshold: float, temporal: bool, spatial: bool
+) -> tuple[EventLog, FilterStats]:
+    if threshold == 0:
+        return log, FilterStats.from_logs(threshold, log, log)
+    cols = _columns(log)  # compress_rows rejects a negative threshold
+    rows = compress_rows(
+        cols, cols.all_rows(), threshold, temporal=temporal, spatial=spatial
+    )
+    out = _select(log, rows)
+    return out, FilterStats.from_logs(threshold, log, out)
 
 
 def temporal_compress(
     log: EventLog, threshold: float
 ) -> tuple[EventLog, FilterStats]:
     """Coalesce repeated reports from the same location/job/event."""
-    out = _coalesce(log, threshold, with_location=True)
-    return out, FilterStats.from_logs(threshold, log, out)
+    return _compress_log(log, threshold, temporal=True, spatial=False)
 
 
 def spatial_compress(
     log: EventLog, threshold: float
 ) -> tuple[EventLog, FilterStats]:
     """Coalesce reports of the same event/job from different locations."""
-    out = _coalesce(log, threshold, with_location=False)
-    return out, FilterStats.from_logs(threshold, log, out)
+    return _compress_log(log, threshold, temporal=False, spatial=True)
 
 
 def compress(
@@ -169,9 +250,7 @@ def compress(
 
     The returned stats are end-to-end (raw input vs final output).
     """
-    after_temporal = _coalesce(log, threshold, with_location=True)
-    out = _coalesce(after_temporal, threshold, with_location=False)
-    return out, FilterStats.from_logs(threshold, log, out)
+    return _compress_log(log, threshold, temporal=True, spatial=True)
 
 
 def deduplicate_exact(log: EventLog) -> EventLog:
@@ -181,16 +260,5 @@ def deduplicate_exact(log: EventLog) -> EventLog:
     second-resolution, so raw logs contain exact-duplicate rows even before
     window-based compression (Section 3).
     """
-    if len(log) == 0:
-        return log
-    # Timestamps are float64 and sort at C speed, so np.unique is the
-    # fast factorizer here (unlike the string columns).
-    ts_uniques, ts_codes = np.unique(log.timestamps, return_inverse=True)
-    times = (ts_codes.astype(np.int64, copy=False), max(len(ts_uniques), 1))
-    gid = _group_ids([times, *_key_columns(log, with_location=True)])
-    # First occurrence (lowest original index) of each signature wins,
-    # exactly like the first-seen-wins set scan this replaces.
-    _, first = np.unique(gid, return_index=True)
-    keep = np.zeros(len(log), dtype=bool)
-    keep[first] = True
-    return _select(log, keep)
+    cols = _columns(log)
+    return _select(log, dedup_rows(cols, cols.all_rows()))

@@ -63,7 +63,7 @@ def parse_line(line: str, line_no: int = 0) -> RASEvent:
     The LogHub format carries no Job ID; ``job_id`` is set to 0 and real
     deployments can re-join job information from the scheduler log.
     """
-    parts = line.rstrip("\n").split(None, _HEADER_FIELDS)
+    parts = line.rstrip("\r\n").split(None, _HEADER_FIELDS)
     if len(parts) < _HEADER_FIELDS:
         raise ParseError(line_no, line, "expected at least 9 fields")
     label, epoch_s, _date, location, _full_ts, _loc2, mechanism, fac_s, sev_s = parts[
@@ -72,8 +72,10 @@ def parse_line(line: str, line_no: int = 0) -> RASEvent:
     message = parts[_HEADER_FIELDS] if len(parts) > _HEADER_FIELDS else ""
     try:
         timestamp = float(int(epoch_s))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ParseError(line_no, line, f"bad epoch field {epoch_s!r}") from None
+    if timestamp < 0:
+        raise ParseError(line_no, line, f"negative epoch {epoch_s!r}")
     facility = _FACILITY_TOKENS.get(fac_s)
     if facility is None:
         try:
@@ -89,15 +91,10 @@ def parse_line(line: str, line_no: int = 0) -> RASEvent:
     # The alert label marks lines LogHub's curators flagged; keep it in the
     # event_type channel alongside the recording mechanism.
     event_type = mechanism if label == "-" else f"{mechanism}:{label}"
+    # Positional: record_id, event_type, timestamp, job_id, location,
+    # entry_data, facility, severity.
     return RASEvent(
-        record_id=line_no,
-        event_type=event_type,
-        timestamp=timestamp,
-        job_id=0,
-        location=location,
-        entry_data=message,
-        facility=facility,
-        severity=severity,
+        line_no, event_type, timestamp, 0, location, message, facility, severity
     )
 
 
@@ -110,11 +107,12 @@ def iter_lines(
     """Yield events from raw lines, skipping blanks (and, unless strict,
     malformed lines, which are tallied in *report*)."""
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
             event = parse_line(line, line_no)
         except ParseError as err:
+            # A blank line fails on its field count; skip it untallied.
+            if not line.strip():
+                continue
             if strict:
                 raise
             if report is not None:
@@ -134,15 +132,16 @@ def load_log(
     """Parse a LogHub BGL file (or open text stream) into an EventLog.
 
     The log's origin is set to the earliest event time so that week
-    arithmetic starts at the head of the trace.
+    arithmetic starts at the head of the trace; out-of-order lines are
+    stably sorted by time.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", errors="replace") as fh:
             events = list(iter_lines(fh, strict=strict, report=report))
     else:
         events = list(iter_lines(source, strict=strict, report=report))
-    origin = min((e.timestamp for e in events), default=0.0)
-    return EventLog(events, origin=origin)
+    log = EventLog(events)
+    return log.with_origin(log.span[0])
 
 
 def format_line(event: RASEvent, origin_epoch: float = 1_100_000_000.0) -> str:

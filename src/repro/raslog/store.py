@@ -9,7 +9,9 @@ learners' rule-generation windows, weekly evaluation slices) are
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
 from typing import overload
 
 import numpy as np
@@ -37,11 +39,14 @@ class EventLog:
         _presorted: bool = False,
     ) -> None:
         evts = tuple(events)
-        if not _presorted:
-            evts = tuple(sorted(evts, key=lambda e: e.timestamp))
         times = np.fromiter(
-            (e.timestamp for e in evts), dtype=np.float64, count=len(evts)
+            map(attrgetter("timestamp"), evts), dtype=np.float64, count=len(evts)
         )
+        # A stable sort, skipped when the events are already in time order.
+        if not _presorted and np.any(times[1:] < times[:-1]):
+            order = np.argsort(times, kind="stable")
+            evts = tuple(map(evts.__getitem__, order.tolist()))
+            times = times[order]
         times.setflags(write=False)
         self._events = evts
         self._times = times
@@ -182,10 +187,7 @@ class EventLog:
     # -- aggregation ------------------------------------------------------
 
     def counts_by_facility(self) -> dict[Facility, int]:
-        counts: dict[Facility, int] = {}
-        for e in self._events:
-            counts[e.facility] = counts.get(e.facility, 0) + 1
-        return counts
+        return dict(Counter(map(attrgetter("facility"), self._events)))
 
     def counts_by_code(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -35,7 +35,8 @@ class TestPolicies:
     def test_static_fixed_window(self):
         policy = static_initial(6)
         assert not policy.retrains
-        assert policy.window(10) == (0, 26)
+        assert policy.window(10) == (0, 10)
+        assert policy.window(26) == (0, 26)
         assert policy.window(100) == (0, 26)
 
     def test_paper_example_week32_six_months(self):
@@ -72,7 +73,7 @@ class TestProperties:
     def test_window_always_valid(self, kind, length, week):
         policy = TrainingPolicy(kind=kind, length_weeks=length)
         start, end = policy.window(week)
-        assert 0 <= start <= end
+        assert 0 <= start <= end <= week
 
     @given(st.integers(min_value=1, max_value=24), st.integers(min_value=30, max_value=300))
     def test_sliding_window_has_fixed_length(self, months, week):

@@ -133,6 +133,28 @@ class TestFakeFatalRemoval:
         assert report.demoted_fatals == 1
         assert not cat.is_fatal(out[0])
 
+    @pytest.mark.parametrize(
+        "severities",
+        [
+            (Severity.INFO, Severity.FATAL, Severity.INFO, Severity.FAILURE),
+            (Severity.FATAL, Severity.INFO, Severity.WARNING, Severity.FATAL),
+        ],
+    )
+    def test_demotion_follows_each_rows_severity(self, catalog, severities):
+        # One message logged at several severities: only its fatal-class
+        # rows are demotions, whichever severity is seen first.
+        fake = catalog.fake_fatal_types()[0]
+        log = make_log(
+            [
+                (float(i), fake.description, {"facility": fake.facility, "severity": s})
+                for i, s in enumerate(severities)
+            ]
+        )
+        report = CategorizationReport()
+        Categorizer(catalog).categorize(log, report)
+        assert report.matched == 4
+        assert report.demoted_fatals == 2
+
     def test_fatal_codes_exclude_fakes(self, catalog):
         cat = Categorizer(catalog)
         fatal_codes = cat.fatal_codes()
@@ -160,7 +182,7 @@ def _per_row(cat, log):
                     f"uncategorizable event: facility={event.facility.value} "
                     f"entry_data={event.entry_data!r}"
                 )
-            report.record_unmatched(event.facility)
+            report.add(0, 0, {event.facility: 1})
             if cat.unknown == "keep":
                 out.append(event)
             continue

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.preprocess.filtering import (
     FilterStats,
+    _group_ids,
     compress,
     deduplicate_exact,
     spatial_compress,
@@ -269,3 +272,27 @@ class TestVectorizedEquivalence:
                 seen.add(sig)
                 expected.append(e)
         assert deduplicate_exact(log).events == tuple(expected)
+
+
+class TestGroupIds:
+    def test_rows_share_an_id_iff_equal_in_every_column(self):
+        a = np.array([0, 0, 1, 1, 0, 2], dtype=np.int64)
+        b = np.array([3, 3, 3, 0, 1, 3], dtype=np.int64)
+        gid = _group_ids((a, 3), (b, 4))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        for i in range(len(a)):
+            for j in range(len(a)):
+                assert (gid[i] == gid[j]) == (pairs[i] == pairs[j])
+
+    def test_large_cardinalities_do_not_overflow(self):
+        # 2**40 ** 3 overflows int64: the fold must re-compress first.
+        big = 2**40
+        cols = [
+            np.array([big - 1, 0, big - 1, 5], dtype=np.int64),
+            np.array([big - 1, big - 1, big - 1, 5], dtype=np.int64),
+            np.array([big - 1, big - 1, big - 2, 5], dtype=np.int64),
+        ]
+        gid = _group_ids(*((c, big) for c in cols))
+        rows = list(zip(*(c.tolist() for c in cols)))
+        assert len(set(gid.tolist())) == len(set(rows)) == 4
+        assert gid.min() >= 0

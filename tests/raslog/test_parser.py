@@ -205,3 +205,162 @@ class TestRoundTripProperties:
         assert back.entry_data == message
         assert back.timestamp == float(int(t))
         assert back.location == event.location
+
+
+def _line(epoch, facility="KERNEL", label="-", message="instruction cache parity error corrected"):
+    return (
+        f"{label} {epoch} 2005.06.03 R02-M1-N0-C:J12-U11 "
+        f"2005-06-03-15.42.50.363779 R02-M1-N0-C:J12-U11 RAS {facility} INFO "
+        f"{message}"
+    )
+
+
+#: Blank and malformed lines, non-canonical facility spellings, alert
+#: labels, a negative epoch and epochs out of order.
+MIXED_LINES = [
+    _line(1117838590),
+    "",
+    _line(1117838570, facility="kernel"),
+    "garbage",
+    _line(1117838580, facility="serv-net", message="link card down"),
+    "   ",
+    _line(1117838570, label="KERNDTLB", message="data TLB error interrupt"),
+    _line("notanumber"),
+    _line(1117838560, facility="QUANTUM"),
+    _line(-5),
+    _line(1117838570, facility="Serv_Net"),
+    GOOD_LINE.replace(" INFO ", " MEH "),
+    _line(1117838600, label="APPSEV"),
+]
+
+
+def _per_line(lines, strict):
+    """Reference loader: one ``parse_line`` per non-blank line, then a
+    stable sort by time."""
+    events, report = [], ParseReport()
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            events.append(parse_line(line, line_no))
+        except ParseError as err:
+            if strict:
+                raise
+            report.record_error(err)
+            continue
+        report.parsed += 1
+    events.sort(key=lambda e: e.timestamp)
+    return events, report
+
+
+class TestLoadLogEquivalence:
+    """``load_log`` is a per-line ``parse_line`` loop plus a stable time
+    sort, whatever mix of lines the file holds."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "mixed.log"
+        path.write_text("\n".join(MIXED_LINES) + "\n")
+        return path
+
+    def test_lenient(self, path):
+        report = ParseReport()
+        log = load_log(path, report=report)
+        with open(path, encoding="utf-8") as fh:
+            expected, expected_report = _per_line(fh, strict=False)
+        assert list(log) == expected
+        assert log.timestamps.tolist() == [e.timestamp for e in expected]
+        assert log.origin == expected[0].timestamp
+        assert report.parsed == expected_report.parsed == 6
+        assert report.skipped == expected_report.skipped == 5
+        assert [(e.line_no, e.reason) for e in report.errors] == [
+            (e.line_no, e.reason) for e in expected_report.errors
+        ]
+        # Equal epochs keep their file order.
+        tied = [e.record_id for e in log if e.timestamp == 1117838570.0]
+        assert tied == [3, 7, 11]
+
+    def test_strict(self, path):
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as expected:
+            _per_line(fh, strict=True)
+        with pytest.raises(ParseError) as got:
+            load_log(path, strict=True)
+        assert got.value.line_no == expected.value.line_no == 4
+        assert got.value.reason == expected.value.reason
+
+    def test_in_order_file(self, tmp_path):
+        path = tmp_path / "sorted.log"
+        path.write_text("".join(_line(1117838570 + k) + "\n" for k in range(5)))
+        log = load_log(path)
+        assert [e.record_id for e in log] == [1, 2, 3, 4, 5]
+        assert log.origin == 1117838570.0
+        assert not log.timestamps.flags.writeable
+
+    def test_empty_source(self):
+        log = load_log(io.StringIO("\n  \n"))
+        assert len(log) == 0
+        assert log.origin == 0.0
+
+
+class TestNegativeEpoch:
+    def test_parse_line_raises_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_line(_line(-5), line_no=3)
+        assert err.value.line_no == 3
+        assert err.value.reason == "negative epoch '-5'"
+
+    def test_lenient_load_skips_and_counts(self):
+        report = ParseReport()
+        log = load_log(io.StringIO(f"{GOOD_LINE}\n{_line(-5)}\n"), report=report)
+        assert len(log) == 1
+        assert report.parsed == 1
+        assert report.skipped == 1
+        assert report.errors[0].line_no == 2
+        assert "negative epoch" in report.errors[0].reason
+
+    def test_strict_load_raises_with_line_number(self):
+        with pytest.raises(ParseError) as err:
+            load_log(io.StringIO(f"{GOOD_LINE}\n{_line(-5)}\n"), strict=True)
+        assert err.value.line_no == 2
+        assert "negative epoch" in err.value.reason
+
+
+class TestOverlongEpoch:
+    """An epoch too long for a float overflows in ``float(int(...))``."""
+
+    EPOCH = "9" * 400
+
+    def test_parse_line_raises_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_line(_line(self.EPOCH), line_no=4)
+        assert err.value.line_no == 4
+        assert err.value.reason.startswith("bad epoch field")
+
+    def test_lenient_load_skips_and_counts(self):
+        report = ParseReport()
+        log = load_log(
+            io.StringIO(f"{GOOD_LINE}\n{_line(self.EPOCH)}\n"), report=report
+        )
+        assert len(log) == 1
+        assert report.skipped == 1
+        assert report.errors[0].line_no == 2
+
+
+class TestCRLF:
+    def test_stream_lines_lose_carriage_return(self):
+        log = load_log(io.StringIO(f"{GOOD_LINE}\r\n{ALERT_LINE}\r\n"))
+        assert [e.entry_data for e in log] == [
+            "instruction cache parity error corrected",
+            "data TLB error interrupt",
+        ]
+        assert "\r" not in format_line(log[0])
+
+    def test_unknown_keep_round_trip_has_no_carriage_return(self):
+        from repro.preprocess.pipeline import PreprocessingPipeline
+
+        raw = load_log(io.StringIO(_line(1117838570, message="mystery 7") + "\r\n"))
+        clean = PreprocessingPipeline(unknown="keep").run(raw).clean
+        assert clean[0].entry_data == "mystery 7"
+        out = io.StringIO()
+        dump_log(clean, out)
+        assert "\r" not in out.getvalue()

@@ -191,6 +191,13 @@ class TestProperties:
         ts = log.timestamps
         assert np.all(np.diff(ts) >= 0)
 
+    @given(times_lists())
+    def test_order_is_a_stable_sort_by_time(self, times):
+        events = [make_event(t, f"e{i}") for i, t in enumerate(times)]
+        log = EventLog(events)
+        assert list(log) == sorted(events, key=lambda e: e.timestamp)
+        assert log.timestamps.tolist() == sorted(times)
+
     @given(times_lists(), st.floats(min_value=0, max_value=1e7), st.floats(min_value=0, max_value=1e7))
     def test_between_returns_exactly_range(self, times, a, b):
         lo, hi = min(a, b), max(a, b)

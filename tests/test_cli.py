@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,35 @@ class TestPreprocess:
         text = capsys.readouterr().out
         assert "compression" in text
         assert "0 skipped" in text
+
+
+class TestPreprocessGolden:
+    """``repro preprocess`` on a small seeded ANL raw trace: the counts
+    line and the clean log are pinned byte for byte."""
+
+    COUNTS = (
+        "parsed 18728 records (0 skipped); categorized 18728 "
+        "(5 fake fatals demoted); filtered to 150 events (99.2% compression)"
+    )
+    CLEAN_SHA256 = (
+        "c8b07a525bfcf13cc6ee18728329fb3457ca79ce88c2e6281c85b2ef9b8fe03f"
+    )
+
+    def test_counts_and_clean_log(self, tmp_path, capsys):
+        raw, clean = tmp_path / "anl-raw.log", tmp_path / "anl-clean.log"
+        rc = main(
+            [
+                "generate", "--system", "ANL", "--scale", "0.05",
+                "--weeks", "6", "--seed", "2", "--output", str(raw),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        assert main(["preprocess", str(raw), "--output", str(clean)]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{self.COUNTS} -> {clean}\n"
+        digest = hashlib.sha256(clean.read_bytes()).hexdigest()
+        assert digest == self.CLEAN_SHA256
 
 
 class TestTrainPredict:
