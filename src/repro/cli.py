@@ -35,7 +35,11 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro import observe
-from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
+from repro.core.framework import (
+    DynamicMetaLearningFramework,
+    FrameworkConfig,
+    NothingToEvaluate,
+)
 from repro.core.knowledge import RuleRecord
 from repro.core.meta import MetaLearner
 from repro.core.predictor import Predictor
@@ -49,7 +53,7 @@ from repro.parallel.executor import make_executor
 from repro.preprocess.pipeline import PreprocessingPipeline
 from repro.raslog.catalog import default_catalog
 from repro.raslog.generator import GeneratorConfig, generate_log
-from repro.raslog.parser import ParseError, ParseReport, dump_log, load_log
+from repro.raslog.parser import ParseError, ParseReport, dump_log
 from repro.raslog.profiles import PROFILES, get_profile
 from repro.resilience import (
     CheckpointError,
@@ -84,15 +88,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     report = ParseReport()
-    raw = load_log(args.input, report=report)
     pipeline = PreprocessingPipeline(threshold=args.threshold)
-    result = pipeline.run(raw)
-    dump_log(result.clean, args.output)
+    result = pipeline.run_file(args.input, report=report, output=args.output)
     print(
         f"parsed {report.parsed} records ({report.skipped} skipped); "
         f"categorized {result.categorization.matched} "
         f"({result.categorization.demoted_fatals} fake fatals demoted); "
-        f"filtered to {len(result.clean)} events "
+        f"filtered to {result.filtering.n_output} events "
         f"({result.compression_rate:.1%} compression) -> {args.output}"
     )
     return 0
@@ -106,9 +108,8 @@ def _prepare_log(path: str, strict: bool = False):
     are skipped and counted in the report.
     """
     report = ParseReport()
-    log = load_log(path, strict=strict, report=report)
-    pipeline = PreprocessingPipeline()
-    return pipeline.run(log).clean.with_origin(log.origin), report
+    result = PreprocessingPipeline().run_file(path, strict=strict, report=report)
+    return result.clean, report
 
 
 def _print_parse_report(report: ParseReport) -> None:
@@ -406,12 +407,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _run_streaming(args, config)
     log, report = _prepare_log(args.input, strict=args.strict)
     _print_parse_report(report)
-    with DynamicMetaLearningFramework(
-        config,
-        executor=make_executor(args.executor, args.workers),
-        own_executor=True,
-    ) as framework:
-        result = framework.run(log)
+    try:
+        with DynamicMetaLearningFramework(
+            config,
+            executor=make_executor(args.executor, args.workers),
+            own_executor=True,
+        ) as framework:
+            result = framework.run(log)
+    except NothingToEvaluate as err:
+        print(
+            f"error: {err} (the clean log spans {log.n_weeks} week(s); "
+            f"--initial-weeks {config.initial_train_weeks})",
+            file=sys.stderr,
+        )
+        return 2
     print(
         f"{'static' if args.static else 'dynamic'} run over weeks "
         f"{result.start_week}-{result.end_week}: "

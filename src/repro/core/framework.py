@@ -34,6 +34,10 @@ from repro.raslog.store import EventLog
 from repro.utils.timeutil import WEEK_SECONDS
 
 
+class NothingToEvaluate(ValueError):
+    """A run whose evaluation range holds no week."""
+
+
 @dataclass
 class RunResult:
     """Everything a framework run produces."""
@@ -116,7 +120,7 @@ class DynamicMetaLearningFramework:
         if start < 1:
             raise ValueError(f"start_week must be >= 1, got {start}")
         if end <= start:
-            raise ValueError(
+            raise NothingToEvaluate(
                 f"nothing to evaluate: end_week {end} <= start_week {start}"
             )
 

@@ -6,16 +6,21 @@ select the low-level event type.  After categorization an event's
 ``entry_data`` holds the catalog *code*, which is the identity the learners
 and the predictor operate on.
 
-:meth:`Categorizer.classify_rows` is the one per-row classification loop:
-it applies the unknown policy, fills every :class:`CategorizationReport`
-tally, and returns the kept rows' indices with their identity (the catalog
-code, or the raw text of an unknown row under ``unknown="keep"``) without
-building any event.  The preprocessing pipeline filters on those columns
-and rebuilds only the survivors; :meth:`Categorizer.categorize` is the same
-loop followed by the rebuild of every kept row.  A raw log repeats a few
-hundred distinct descriptions thousands of times each, so the loop
-normalizes and classifies each distinct message once per call and reuses
-the result for its repeats.
+:meth:`Categorizer.classify_columns` is the one classification pass: it
+works on a log's :class:`~repro.raslog.store.RowColumns`, applies the
+unknown policy, fills every :class:`CategorizationReport` tally, and
+returns the kept rows with their identity (the catalog code, or the raw
+text of an unknown row under ``unknown="keep"``) without building any
+event.  A raw log repeats a few hundred distinct (header, message) pairs
+thousands of times each, so the pass classifies each distinct pair once
+and spreads the outcome over its rows with NumPy.  The preprocessing
+pipeline filters on those columns and builds only the survivors;
+:meth:`Categorizer.categorize` is the same pass followed by the build of
+every kept row.
+
+Nothing is kept between calls: a pass over a file in chunks classifies
+each distinct pair once per chunk, so the categorizer's memory is bounded
+by one chunk however many distinct messages the log holds.
 
 Fake-fatal handling: the paper removes events whose logged severity is
 FATAL/FAILURE but which administrators classified as benign.  Those types
@@ -27,12 +32,13 @@ demoted this way.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.raslog.catalog import EventCatalog, EventType, default_catalog
-from repro.raslog.events import Facility, RASEvent, Severity
-from repro.raslog.store import EventLog
+from repro.raslog.events import Facility, RASEvent
+from repro.raslog.store import EventLog, RowColumns
 
 _WS = re.compile(r"\s+")
 _BRACKET_TAIL = re.compile(r"\s*\[[^\]]*\]$")
@@ -81,6 +87,22 @@ class CategorizationReport:
         return self.matched / self.total if self.total else 1.0
 
 
+@dataclass(frozen=True)
+class Classified:
+    """The rows a classification pass keeps: ``rows`` (ascending indices)
+    and, per kept row, ``identity``, an id into ``identities``."""
+
+    rows: np.ndarray
+    identity: np.ndarray
+    identities: list[str]
+
+    def identity_texts(self, kept: np.ndarray | None = None) -> list[str]:
+        """The identity of each kept row (or of ``kept``, indices into
+        ``rows``)."""
+        ids = self.identity if kept is None else self.identity[kept]
+        return list(map(self.identities.__getitem__, ids.tolist()))
+
+
 class Categorizer:
     """Hierarchical event classifier backed by an :class:`EventCatalog`.
 
@@ -105,83 +127,93 @@ class Categorizer:
         # through unchanged (idempotence).
         self._codes = {t.code for t in self.catalog}
 
+    def _lookup(self, facility: Facility, text: str) -> EventType | None:
+        if text in self._codes:
+            return self.catalog.get(text)
+        return self._by_key.get((facility, normalize_description(text)))
+
     def classify(self, event: RASEvent) -> EventType | None:
         """Find the low-level type of a record, or None when unmatched."""
-        if event.entry_data in self._codes:
-            return self.catalog.get(event.entry_data)
-        key = (event.facility, normalize_description(event.entry_data))
-        return self._by_key.get(key)
+        return self._lookup(event.facility, event.entry_data)
 
     def is_fatal(self, event: RASEvent) -> bool:
         """Catalog-level fatality of a record (False when unmatched)."""
         etype = self.classify(event)
         return etype.fatal if etype is not None else False
 
-    def classify_rows(
+    def classify_columns(
         self,
-        events: Sequence[RASEvent],
+        columns: RowColumns,
         report: CategorizationReport | None = None,
-    ) -> tuple[list[int], list[str]]:
+    ) -> Classified:
         """Classify every row; return the kept rows and their identity.
 
-        The first list holds the indices (ascending) of the rows the
-        unknown policy keeps; the second, for each of them, the catalog
-        code, or the raw ``entry_data`` of an unknown row kept under
-        ``unknown="keep"``.  Under ``unknown="error"`` the first unknown
-        row raises, after the rows before it are tallied in *report*.
-
-        The memo of classified messages lives for this call only, so it is
-        bounded by the log's distinct messages.  Its key carries the
-        severity so that a row's fake-fatal demotion is memoized too.
+        Kept rows are those the unknown policy keeps.  Under
+        ``unknown="error"`` the first unknown row raises, after the rows
+        before it are tallied in *report*.
         """
-        rows: list[int] = []
-        identity: list[str] = []
-        memo: dict[tuple[Facility, str, Severity], tuple[str | None, bool]] = {}
-        matched = demoted = 0
-        unmatched: dict[Facility, int] = {}
-        for i, event in enumerate(events):
-            key = (event.facility, event.entry_data, event.severity)
-            outcome = memo.get(key)
-            if outcome is None:
-                etype = self.classify(event)
-                if etype is None:
-                    outcome = (None, False)
-                else:
-                    demote = event.severity.is_fatal_class and not etype.fatal
-                    outcome = (etype.code, demote)
-                memo[key] = outcome
-            code, demote = outcome
-            if code is None:
-                if self.unknown == "error":
-                    if report is not None:
-                        report.add(matched, demoted, unmatched)
-                    raise ValueError(
-                        f"uncategorizable event: facility={event.facility.value} "
-                        f"entry_data={event.entry_data!r}"
-                    )
-                unmatched[event.facility] = unmatched.get(event.facility, 0) + 1
+        n_messages = max(len(columns.messages), 1)
+        pairs, first, inverse = np.unique(
+            columns.header * n_messages + columns.message,
+            return_index=True,
+            return_inverse=True,
+        )
+        # Per distinct pair: identity id (-1: dropped), matched, demoted.
+        identity = np.full(len(pairs), -1, dtype=np.int64)
+        matched = np.zeros(len(pairs), dtype=bool)
+        demoted = np.zeros(len(pairs), dtype=bool)
+        unknown: list[tuple[int, Facility, str]] = []
+        identities: dict[str, int] = {}
+        for k, pair in enumerate(pairs.tolist()):
+            h, m = divmod(pair, n_messages)
+            _, facility, severity = columns.headers[h]
+            text = columns.messages[m]
+            etype = self._lookup(facility, text)
+            if etype is None:
+                unknown.append((int(first[k]), facility, text))
                 if self.unknown != "keep":
                     continue
-                code = event.entry_data
+                code = text
             else:
-                matched += 1
-                demoted += demote
-            rows.append(i)
-            identity.append(code)
+                code = etype.code
+                matched[k] = True
+                demoted[k] = severity.is_fatal_class and not etype.fatal
+            identity[k] = identities.setdefault(code, len(identities))
+        counts = np.bincount(inverse, minlength=len(pairs))
+        unknown.sort(key=lambda u: u[0])
+        if unknown and self.unknown == "error":
+            row, facility, text = unknown[0]
+            if report is not None:
+                before = np.bincount(inverse[:row], minlength=len(pairs))
+                report.add(
+                    int(before[matched].sum()), int(before[demoted].sum()), {}
+                )
+            raise ValueError(
+                f"uncategorizable event: facility={facility.value} "
+                f"entry_data={text!r}"
+            )
         if report is not None:
-            report.add(matched, demoted, unmatched)
-        return rows, identity
+            # Unknown rows per facility, in the order the facilities first
+            # occur.
+            unmatched: dict[Facility, int] = {}
+            for row, facility, _ in unknown:
+                n = int(counts[inverse[row]])
+                unmatched[facility] = unmatched.get(facility, 0) + n
+            report.add(
+                int(counts[matched].sum()), int(counts[demoted].sum()), unmatched
+            )
+        row_identity = identity[inverse]
+        rows = np.flatnonzero(row_identity >= 0)
+        return Classified(rows, row_identity[rows], list(identities))
 
     def categorize(
         self, log: EventLog, report: CategorizationReport | None = None
     ) -> EventLog:
         """Rewrite ``entry_data`` to catalog codes; apply the unknown policy."""
-        rows, identity = self.classify_rows(log.events, report)
-        events = log.events
-        kept = tuple(
-            events[i].with_entry_data(code) for i, code in zip(rows, identity)
-        )
-        times = log.timestamps[rows]
+        columns = log.columns
+        classified = self.classify_columns(columns, report)
+        kept = columns.events(classified.rows, classified.identity_texts())
+        times = log.timestamps[classified.rows]
         times.setflags(write=False)
         return EventLog._from_parts(kept, times, log.origin)
 

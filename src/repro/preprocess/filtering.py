@@ -15,26 +15,38 @@ Event identity is the ``entry_data`` field — the free-text description in a
 raw log, or the catalog code after categorization; both work.
 
 Both steps, and exact-duplicate removal, are one kernel over integer key
-columns (:class:`KeyColumns`: timestamps, Job ID, identity, Location, each
-factorized once): :func:`dedup_rows` and :func:`compress_rows` take and
-return ascending row-index arrays, so the stages chain by masking indices
-and no intermediate log is built.  The preprocessing pipeline runs them on
-the categorizer's columns; :func:`deduplicate_exact`,
+columns (:class:`KeyColumns`: timestamps, and Job ID, identity and
+Location as dense codes, read off a log's
+:class:`~repro.raslog.store.RowColumns`): :func:`dedup_rows` and
+:func:`compress_rows` take and return ascending row-index arrays, so the
+stages chain by masking indices and no intermediate log is built.  :func:`deduplicate_exact`,
 :func:`temporal_compress`, :func:`spatial_compress` and :func:`compress`
-are adapters (log → columns → kernel → one selection).
+are adapters (log → columns → kernel → one selection); on a log parsed
+from a file they build no events.
+
+:class:`ChunkFilter` runs all three steps over consecutive time-ordered
+chunks of rows, which is how the preprocessing pipeline runs them, on a
+whole log (one chunk) or on a file streamed in chunks.  Every step keeps
+a row unless it chains onto an earlier row of its group (the previous
+row for deduplication and temporal compression, the previous temporal
+survivor for spatial compression), so the filter carries, per group,
+just the time of that row into the next chunk, as a leading "ghost" row
+of the group.  A group idle for longer than the threshold can no longer
+chain and is dropped from the carry, which keeps it bounded by the groups
+active in the last threshold seconds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress as _itcompress
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
-from repro.raslog.events import Facility, RASEvent
-from repro.raslog.store import EventLog
+from repro import observe
+from repro.raslog.events import Facility
+from repro.raslog.store import EventLog, RowColumns, encode
 
 
 @dataclass
@@ -57,15 +69,24 @@ class FilterStats:
     def from_logs(
         threshold: float, before: EventLog, after: EventLog
     ) -> "FilterStats":
-        before_counts = before.counts_by_facility()
-        after_counts = after.counts_by_facility()
+        return FilterStats.from_counts(
+            threshold, before.counts_by_facility(), after.counts_by_facility()
+        )
+
+    @staticmethod
+    def from_counts(
+        threshold: float,
+        before: dict[Facility, int],
+        after: dict[Facility, int],
+    ) -> "FilterStats":
+        """Stats from per-facility record counts before and after."""
         return FilterStats(
             threshold=threshold,
-            n_input=len(before),
-            n_output=len(after),
+            n_input=sum(before.values()),
+            n_output=sum(after.values()),
             by_facility={
-                fac: (before_counts.get(fac, 0), after_counts.get(fac, 0))
-                for fac in set(before_counts) | set(after_counts)
+                fac: (before.get(fac, 0), after.get(fac, 0))
+                for fac in set(before) | set(after)
             },
         )
 
@@ -74,24 +95,6 @@ class FilterStats:
 Column = tuple[np.ndarray, int]
 
 _INT64_LIMIT = 2**63
-
-_JOB_ID = attrgetter("job_id")
-_ENTRY_DATA = attrgetter("entry_data")
-_LOCATION = attrgetter("location")
-
-
-def _factorize(values: Sequence[Hashable]) -> Column:
-    """Hash-factorize a column of hashables into dense int64 codes.
-
-    Dict builds are O(n) with C-speed hashing, which beats sort-based
-    ``np.unique`` on object arrays (those compare elements in Python);
-    only the distinct values pass through Python bytecode.
-    """
-    table = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(
-        map(table.__getitem__, values), dtype=np.int64, count=len(values)
-    )
-    return codes, max(len(table), 1)
 
 
 def _group_ids(*columns: Column) -> np.ndarray:
@@ -114,7 +117,8 @@ def _group_ids(*columns: Column) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KeyColumns:
-    """The filter's key columns over time-ordered rows, each factorized once.
+    """The filter's key columns over time-ordered rows: ``times``, and Job
+    ID, identity and location as ``(codes, cardinality)`` pairs.
 
     ``times`` must be non-decreasing, as an :class:`EventLog`'s are; the
     kernels below rely on it to keep the earliest row of every tuple.
@@ -126,22 +130,14 @@ class KeyColumns:
     location: Column
 
     @classmethod
-    def of_events(
-        cls,
-        events: Iterable[RASEvent],
-        times: np.ndarray,
-        identity: Sequence[str] | None = None,
-    ) -> "KeyColumns":
-        """Columns of ``events``; ``identity`` defaults to their
-        ``entry_data``."""
-        events = list(events)
-        if identity is None:
-            identity = list(map(_ENTRY_DATA, events))
+    def of_rows(cls, rows: RowColumns) -> "KeyColumns":
+        """The key columns of a log's rows, their message as identity."""
+        jobs, job = np.unique(rows.job, return_inverse=True)
         return cls(
-            times,
-            _factorize(list(map(_JOB_ID, events))),
-            _factorize(identity),
-            _factorize(list(map(_LOCATION, events))),
+            rows.times,
+            (job, max(len(jobs), 1)),
+            (rows.message, max(len(rows.messages), 1)),
+            (rows.location, max(len(rows.locations), 1)),
         )
 
     def all_rows(self) -> np.ndarray:
@@ -201,19 +197,135 @@ def compress_rows(
     return rows
 
 
-def _columns(log: EventLog) -> KeyColumns:
-    return KeyColumns.of_events(log.events, log.timestamps)
+def _last_rows(gid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The last of ``rows`` (ascending) in each group of ``gid``."""
+    if len(rows) == 0:
+        return rows
+    g = gid[rows]
+    order = np.argsort(g, kind="stable")
+    g = g[order]
+    last = np.empty(len(order), dtype=bool)
+    last[-1] = True
+    np.not_equal(g[1:], g[:-1], out=last[:-1])
+    return rows[order[last]]
 
 
-def _select(log: EventLog, rows: np.ndarray) -> EventLog:
-    if len(rows) == len(log):
-        return log
-    keep = np.zeros(len(log), dtype=bool)
-    keep[rows] = True
-    kept = tuple(_itcompress(log.events, keep))
-    times = log.timestamps[rows]
-    times.setflags(write=False)
-    return EventLog._from_parts(kept, times, log.origin)
+class ChunkFilter:
+    """Exact deduplication (optional), then temporal, then spatial
+    compression, over consecutive time-ordered chunks of rows.
+
+    Feeding a log's rows in any number of chunks keeps exactly the rows
+    that :func:`dedup_rows` and :func:`compress_rows` keep on the whole
+    log, provided no chunk starts before the previous one ends (see the
+    module docs for the carry).
+    """
+
+    def __init__(self, threshold: float, dedup: bool = True) -> None:
+        if threshold < 0:
+            raise ValueError(f"threshold must be non-negative, got {threshold}")
+        self.threshold = threshold
+        self.dedup = dedup
+        #: (job, identity, location) -> time of the group's last row
+        self.temporal: dict[tuple, float] = {}
+        #: (job, identity) -> time of the group's last temporal survivor
+        self.spatial: dict[tuple, float] = {}
+
+    def feed(
+        self,
+        times: np.ndarray,
+        job: np.ndarray,
+        identity: tuple[np.ndarray, Sequence[str]],
+        location: tuple[np.ndarray, Sequence[str]],
+    ) -> np.ndarray:
+        """The kept rows (ascending indices) of one chunk.
+
+        ``times`` must be non-decreasing and not before the previous
+        chunk's last time; ``job`` holds Job IDs, and ``identity`` and
+        ``location`` are ``(codes, values)`` pairs.
+        """
+        if len(times) == 0 or (self.threshold == 0 and not self.dedup):
+            return np.arange(len(times))
+        # Rows 0..n_t-1 are the temporal groups' ghosts, rows n_t..g-1 the
+        # spatial groups' (whose location is never looked at), each set
+        # in time order; the chunk's rows follow.
+        carried = sorted(self.temporal.items(), key=itemgetter(1))
+        n_t = len(carried)
+        carried += sorted(self.spatial.items(), key=itemgetter(1))
+        g = len(carried)
+        keys = [key for key, _ in carried]
+        ident_ids = {v: i for i, v in enumerate(identity[1])}
+        loc_ids = {v: i for i, v in enumerate(location[1])}
+        jobs, job_codes = np.unique(
+            np.concatenate([np.array([k[0] for k in keys], dtype=np.int64), job]),
+            return_inverse=True,
+        )
+        ident_codes = np.concatenate(
+            [encode([k[1] for k in keys], ident_ids), identity[0]]
+        )
+        loc_codes = np.concatenate([
+            encode([k[2] for k in keys[:n_t]], loc_ids),
+            np.zeros(g - n_t, dtype=np.int64),
+            location[0],
+        ])
+        identities, locations = list(ident_ids), list(loc_ids)
+        all_times = np.concatenate(
+            [np.array([t for _, t in carried], dtype=np.float64), times]
+        )
+        cols = KeyColumns(
+            all_times,
+            (job_codes, len(jobs)),
+            (ident_codes, max(len(identities), 1)),
+            (loc_codes, max(len(locations), 1)),
+        )
+        rows = np.concatenate([np.arange(n_t), np.arange(g, len(all_times))])
+        temporal_rows = rows
+        if self.dedup:
+            with observe.span("preprocess.dedup"):
+                rows = dedup_rows(cols, rows)
+        with observe.span("preprocess.compress"):
+            heads = compress_rows(
+                cols, rows, self.threshold, temporal=True, spatial=False
+            )
+            spatial_rows = np.concatenate([np.arange(n_t, g), heads[heads >= g]])
+            kept = compress_rows(
+                cols, spatial_rows, self.threshold, temporal=False, spatial=True
+            )
+        # Carry each group's last row (temporal survivor, for the spatial
+        # groups) unless the group has been idle for longer than the
+        # threshold.
+        horizon = float(times[-1]) - self.threshold
+
+        def still_open(gid: np.ndarray, rows: np.ndarray) -> list[int]:
+            last = _last_rows(gid, rows)
+            return last[all_times[last] >= horizon].tolist()
+
+        def key(r: int) -> tuple:
+            return (
+                int(jobs[job_codes[r]]),
+                identities[ident_codes[r]],
+                locations[loc_codes[r]],
+            )
+
+        temporal_gid = _group_ids(cols.job, cols.identity, cols.location)
+        spatial_gid = _group_ids(cols.job, cols.identity)
+        self.temporal = {
+            key(r): float(all_times[r])
+            for r in still_open(temporal_gid, temporal_rows)
+        }
+        self.spatial = {
+            key(r)[:2]: float(all_times[r])
+            for r in still_open(spatial_gid, spatial_rows)
+        }
+        return kept[kept >= g] - g
+
+
+def _filter_log(
+    log: EventLog, kernel: Callable[[KeyColumns], np.ndarray]
+) -> EventLog:
+    """The log's rows that ``kernel`` keeps, given their key columns."""
+    rows = log.columns
+    kept = kernel(KeyColumns.of_rows(rows))
+    return log if len(kept) == len(log) else log.take(kept, rows)
 
 
 def _compress_log(
@@ -221,11 +333,13 @@ def _compress_log(
 ) -> tuple[EventLog, FilterStats]:
     if threshold == 0:
         return log, FilterStats.from_logs(threshold, log, log)
-    cols = _columns(log)  # compress_rows rejects a negative threshold
-    rows = compress_rows(
-        cols, cols.all_rows(), threshold, temporal=temporal, spatial=spatial
+    # compress_rows rejects a negative threshold.
+    out = _filter_log(
+        log,
+        lambda cols: compress_rows(
+            cols, cols.all_rows(), threshold, temporal=temporal, spatial=spatial
+        ),
     )
-    out = _select(log, rows)
     return out, FilterStats.from_logs(threshold, log, out)
 
 
@@ -260,5 +374,4 @@ def deduplicate_exact(log: EventLog) -> EventLog:
     second-resolution, so raw logs contain exact-duplicate rows even before
     window-based compression (Section 3).
     """
-    cols = _columns(log)
-    return _select(log, dedup_rows(cols, cols.all_rows()))
+    return _filter_log(log, lambda cols: dedup_rows(cols, cols.all_rows()))

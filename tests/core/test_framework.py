@@ -3,7 +3,11 @@
 import pytest
 
 from repro import GeneratorConfig, SDSC_PROFILE, generate_log
-from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
+from repro.core.framework import (
+    DynamicMetaLearningFramework,
+    FrameworkConfig,
+    NothingToEvaluate,
+)
 from repro.core.session import SessionCore
 from repro.core.windows import dynamic_months, static_initial
 from repro.utils.timeutil import WEEK_SECONDS
@@ -148,6 +152,14 @@ class TestPolicies:
             fw.run(mid_trace.clean, start_week=30, end_week=30)
         with pytest.raises(ValueError, match="start_week"):
             fw.run(mid_trace.clean, start_week=0, end_week=10)
+
+    def test_empty_window_is_its_own_error(self, mid_trace):
+        fw = DynamicMetaLearningFramework(catalog=mid_trace.catalog)
+        with pytest.raises(NothingToEvaluate):
+            fw.run(mid_trace.clean, start_week=30, end_week=30)
+        with pytest.raises(ValueError) as err:
+            fw.run(mid_trace.clean, start_week=0, end_week=10)
+        assert not isinstance(err.value, NothingToEvaluate)
 
     def test_single_learner_framework(self, mid_trace):
         config = FrameworkConfig(

@@ -296,3 +296,33 @@ class TestGroupIds:
         rows = list(zip(*(c.tolist() for c in cols)))
         assert len(set(gid.tolist())) == len(set(rows)) == 4
         assert gid.min() >= 0
+
+
+class TestAdaptersOnParsedLog:
+    """On a log parsed from a file, the adapters work on its columns and
+    build no raw event, and give what they give on the eager log."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 300.0])
+    def test_same_result_without_building_events(
+        self, small_trace, tmp_path, threshold
+    ):
+        from unittest import mock
+
+        from repro.raslog.parser import dump_log, load_log
+        from repro.raslog.store import EventLog, RowColumns
+
+        path = tmp_path / "raw.log"
+        dump_log(small_trace.raw, path)
+        eager = load_log(path)
+        eager = EventLog(eager.events, origin=eager.origin)
+        lazy = load_log(path)
+        with mock.patch.object(RowColumns, "events", side_effect=AssertionError):
+            deduped = deduplicate_exact(lazy)
+            out, stats = compress(deduped, threshold)
+        want_deduped = deduplicate_exact(eager)
+        want, want_stats = compress(want_deduped, threshold)
+        assert len(deduped) < len(lazy)
+        assert deduped.events == want_deduped.events
+        assert out.events == want.events
+        assert out.timestamps.tolist() == want.timestamps.tolist()
+        assert stats == want_stats

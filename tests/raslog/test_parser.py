@@ -1,9 +1,13 @@
 """Unit tests for the LogHub BGL parser/writer."""
 
 import io
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.raslog import parser as parser_module
 from repro.raslog.events import Facility, Severity
 from repro.raslog.parser import (
     ParseError,
@@ -14,6 +18,7 @@ from repro.raslog.parser import (
     load_log,
     parse_line,
 )
+from repro.raslog.store import EventLog, RowColumns
 from tests.conftest import make_log
 
 GOOD_LINE = (
@@ -120,6 +125,21 @@ class TestIterLines:
     def test_strict_raises(self):
         with pytest.raises(ParseError):
             list(iter_lines([GOOD_LINE, "garbage"], strict=True))
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 3, 65536])
+    def test_strict_yields_every_event_before_the_bad_line(self, chunk_lines):
+        report = ParseReport()
+        lines = iter([GOOD_LINE, ALERT_LINE, "garbage", GOOD_LINE])
+        got = []
+        with mock.patch.object(parser_module, "CHUNK_LINES", chunk_lines):
+            with pytest.raises(ParseError) as err:
+                for event in iter_lines(lines, strict=True, report=report):
+                    got.append(event)
+        assert got == [parse_line(GOOD_LINE, 1), parse_line(ALERT_LINE, 2)]
+        assert err.value.line_no == 3
+        assert report.parsed == 2
+        # Reading stops at the bad line.
+        assert list(lines) == [GOOD_LINE]
 
     def test_error_cap(self):
         report = ParseReport()
@@ -364,3 +384,134 @@ class TestCRLF:
         out = io.StringIO()
         dump_log(clean, out)
         assert "\r" not in out.getvalue()
+
+
+# -- the chunk loop against parse_line -------------------------------------
+
+_FIELD = st.sampled_from(
+    ["-", "KERNDTLB", "1117838570", "17", "-3", "x1", "R02-M1", "RAS",
+     "KERNEL", "kernel", "serv-net", "QUANTUM", "INFO", "Fatal", "MEH",
+     "error", "0x0bc0", "[7]"]
+)
+_SEP = st.sampled_from([" ", "  ", "\t", " \r", "\x0b"])
+
+
+@st.composite
+def odd_lines(draw):
+    """Lines built from valid and invalid tokens and odd whitespace, with
+    and without trailing newlines."""
+    n = draw(st.integers(min_value=0, max_value=13))
+    text = ""
+    for _ in range(n):
+        text += draw(st.sampled_from(["", " "])) + draw(_FIELD) + draw(_SEP)
+    return text + draw(st.sampled_from(["", "\n", "\r\n", " \n"]))
+
+
+def _eager(lines, report):
+    """The per-line reference: parse_line on every line, blank lines
+    skipped, errors tallied, then a stably sorted EventLog."""
+    events = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            events.append(parse_line(line, line_no))
+        except ParseError as err:
+            if line.strip():
+                report.record_error(err)
+            continue
+        report.parsed += 1
+    log = EventLog(events)
+    return log.with_origin(log.span[0])
+
+
+class TestChunkLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(odd_lines(), max_size=12), st.integers(1, 5))
+    def test_matches_parse_line(self, lines, chunk_lines):
+        want_report, got_report = ParseReport(), ParseReport()
+        want = _eager(lines, want_report)
+        with mock.patch.object(parser_module, "CHUNK_LINES", chunk_lines):
+            got = load_log(lines, report=got_report)
+        assert got.events == want.events
+        assert got.origin == want.origin
+        assert (got_report.parsed, got_report.skipped) == (
+            want_report.parsed, want_report.skipped
+        )
+        assert [(e.line_no, e.reason, e.line) for e in got_report.errors] == [
+            (e.line_no, e.reason, e.line) for e in want_report.errors
+        ]
+
+    def test_strict_raises_first_bad_line_and_counts_before_it(self):
+        report = ParseReport()
+        with mock.patch.object(parser_module, "CHUNK_LINES", 2):
+            with pytest.raises(ParseError) as err:
+                load_log([GOOD_LINE, "", ALERT_LINE, "garbage", "bad"],
+                         strict=True, report=report)
+        assert err.value.line_no == 4
+        assert report.parsed == 2
+
+
+# -- the lazy, column-backed log -------------------------------------------
+
+
+def _bgl_line(t: int, location: str, facility: str, message: str) -> str:
+    return (
+        f"- {t} 2005.06.03 {location} 2005-06-03-15.42.50.363779 {location} "
+        f"RAS {facility} INFO {message}"
+    )
+
+
+@st.composite
+def log_lines(draw):
+    n = draw(st.integers(min_value=0, max_value=30))
+    return [
+        _bgl_line(
+            1_117_838_570 + draw(st.integers(0, 40)),
+            draw(st.sampled_from(["R00", "R01"])),
+            draw(st.sampled_from(["KERNEL", "APP", "MMCS"])),
+            draw(st.sampled_from(["a", "b c", "d 0x1"])),
+        )
+        if draw(st.integers(0, 9)) else "garbage"
+        for _ in range(n)
+    ]
+
+
+class TestLazyLog:
+    """The column-backed log from load_log answers exactly as an eager
+    log of parse_line events does, whichever it is asked first."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_lines(), st.integers(0, 30), st.integers(0, 30))
+    def test_matches_eager_log(self, lines, a, b):
+        want = _eager(lines, ParseReport())
+        assert load_log(lines)._events is None  # nothing built yet
+
+        def lazy():
+            return load_log(lines)
+
+        assert len(lazy()) == len(want)
+        assert lazy().span == want.span
+        assert lazy().origin == want.origin
+        assert lazy().n_weeks == want.n_weeks
+        assert lazy().timestamps.tolist() == want.timestamps.tolist()
+        assert lazy().counts_by_facility() == want.counts_by_facility()
+        assert lazy().events == want.events
+        assert list(lazy()) == list(want)
+        assert lazy()[a:b].events == want[a:b].events
+        assert lazy()[a:b].timestamps.tolist() == want[a:b].timestamps.tolist()
+        lo, hi = sorted(1_117_838_570 + x for x in (a, b))
+        assert lazy().between(lo, hi).events == want.between(lo, hi).events
+        if len(want):
+            assert lazy()[a % len(want)] == want[a % len(want)]
+        columns = lazy().columns
+        assert columns.events() == want.events
+        assert RowColumns.of_events(want.events).events() == want.events
+
+    def test_events_are_built_once(self):
+        log = load_log([GOOD_LINE, ALERT_LINE])
+        assert log.events is log.events
+        assert log[0:1][0] is log.events[0]
+
+    def test_timestamps_read_only(self):
+        log = load_log([ALERT_LINE, GOOD_LINE])
+        with pytest.raises(ValueError):
+            log.timestamps[0] = 1.0

@@ -74,14 +74,15 @@ class TestPreprocess:
 
 class TestPreprocessGolden:
     """``repro preprocess`` on a small seeded ANL raw trace: the counts
-    line and the clean log are pinned byte for byte."""
+    line and the clean log are pinned byte for byte.  The clean log keeps
+    the raw log's epochs."""
 
     COUNTS = (
         "parsed 18728 records (0 skipped); categorized 18728 "
         "(5 fake fatals demoted); filtered to 150 events (99.2% compression)"
     )
     CLEAN_SHA256 = (
-        "c8b07a525bfcf13cc6ee18728329fb3457ca79ce88c2e6281c85b2ef9b8fe03f"
+        "3c4e0e9e234154c1b523af59c688d2f79a9b1dcb42d0ccf177721636ec1e707e"
     )
 
     def test_counts_and_clean_log(self, tmp_path, capsys):
@@ -99,6 +100,23 @@ class TestPreprocessGolden:
         assert out == f"{self.COUNTS} -> {clean}\n"
         digest = hashlib.sha256(clean.read_bytes()).hexdigest()
         assert digest == self.CLEAN_SHA256
+
+
+class TestPreprocessEpochs:
+    """A parsed log is written back with its own epochs, so preprocessing
+    is a fixed point on its own output."""
+
+    @staticmethod
+    def _epochs(path):
+        return [line.split()[1] for line in path.read_text().splitlines()]
+
+    def test_round_trip_keeps_every_epoch(self, raw_log, clean_log, tmp_path):
+        again = tmp_path / "again.log"
+        assert main(["preprocess", str(clean_log), "--output", str(again)]) == 0
+        clean = self._epochs(clean_log)
+        assert set(clean) <= set(self._epochs(raw_log))
+        assert self._epochs(again) == clean
+        assert again.read_text() == clean_log.read_text()
 
 
 class TestTrainPredict:
@@ -149,6 +167,18 @@ class TestRun:
         text = capsys.readouterr().out
         assert "precision=" in text
         assert "weekly accuracy" in text
+
+    def test_log_shorter_than_initial_training_is_a_usage_error(
+        self, raw_log, capsys
+    ):
+        # raw_log spans 12 weeks; the default initial training is 26.
+        rc = main(["run", str(raw_log)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: nothing to evaluate: ")
+        assert "--initial-weeks 26" in captured.err
 
 
 class TestSharding:
