@@ -131,8 +131,7 @@ class DynamicMetaLearningFramework:
             origin=log.origin,
             window_tuner=self._window_tuner,
         )
-        for event in log.slice_weeks(0, end):
-            core.ingest(event)
+        core.ingest_batch(log.slice_weeks(0, end))
         core.cross_boundaries(log.origin + (end - 1) * WEEK_SECONDS)
 
         weekly, overall = self._evaluate(log, core.warnings, start, end)

@@ -239,13 +239,7 @@ class OnlinePredictionSession:
         if not events:
             return []
         self._validate(events)
-        batch = getattr(self._stack, "ingest_batch", None)
-        if batch is not None:
-            new = batch(events)
-        else:
-            new = []
-            for event in events:
-                new.extend(self._stack.ingest(event))
+        new = self._stack.ingest_batch(events)
         self.n_ingested += len(events)
         return new
 

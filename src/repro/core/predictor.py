@@ -469,7 +469,7 @@ class Predictor:
                 )
             state.clock = t
             code = event.entry_data
-            if code in self.catalog and self.catalog.is_fatal_code(code):
+            if code in self.catalog.fatal_codes:
                 state.recent_fatals.append(t)
                 state.last_fatal_time = t
                 state.dist_next_allowed = t
@@ -505,7 +505,7 @@ class Predictor:
         self._prune(now)
 
         code = event.entry_data
-        is_fatal = code in self.catalog and self.catalog.is_fatal_code(code)
+        is_fatal = code in self.catalog.fatal_codes
         warnings: list[FailureWarning] = []
 
         if is_fatal:

@@ -13,12 +13,14 @@ predictor feed — extracted from the monolithic
 * :class:`~repro.observe.wrappers.MeteredSession` records labeled
   throughput/latency/degraded-state metrics around any layer.
 
-Every layer implements the same three-method :class:`StreamSession`
-protocol (``ingest`` / ``advance`` / ``flush``), so stacks are built by
-plain composition — ``JournalingSession(ReorderingSession(core))`` — and
-a fleet-level service can wrap N cores without any of them knowing.
-The batch :class:`~repro.core.framework.DynamicMetaLearningFramework`
-is a replay driver over one core, so there is a single engine.
+Every layer implements the same :class:`StreamSession` protocol
+(``ingest`` / ``ingest_batch`` / ``advance`` / ``flush``), so stacks are
+built by plain composition — ``JournalingSession(ReorderingSession(core))``
+— and a fleet-level service can wrap N cores without any of them
+knowing.  Every layer hands a batch down whole, so
+:meth:`SessionCore.ingest_batch` is the engine's one per-event loop; the
+batch :class:`~repro.core.framework.DynamicMetaLearningFramework` is a
+replay driver feeding a log through it, so there is a single engine.
 
 The core itself performs no durable I/O: it owns no files, no journal,
 no checkpoint format.  (It *does* record process-local metrics through
@@ -31,7 +33,7 @@ disk.)  Checkpoint serialization lives with the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -62,6 +64,8 @@ class StreamSession(Protocol):
     """The composable session surface every layer implements."""
 
     def ingest(self, event: RASEvent) -> list[FailureWarning]: ...
+
+    def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]: ...
 
     def advance(self, now: float) -> list[FailureWarning]: ...
 
@@ -182,6 +186,8 @@ class SessionCore:
             if self.config.retrain_trigger == "adaptive"
             else None
         )
+        #: registry ``online.events`` was looked up in (see _instruments)
+        self._obs_registry: observe.MetricsRegistry | None = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -370,35 +376,79 @@ class SessionCore:
 
     def ingest(self, event: RASEvent) -> list[FailureWarning]:
         """Feed one in-order event; returns any warnings it raised."""
-        if event.timestamp < self.origin:
-            raise ValueError(
-                f"event at {event.timestamp} precedes the session origin "
-                f"{self.origin}"
-            )
-        if event.timestamp < self._last_time:
-            raise ValueError(
-                f"events must arrive in time order "
-                f"({event.timestamp} < {self._last_time})"
-            )
-        self.cross_boundaries(event.timestamp)
-        self._last_time = event.timestamp
-        self._events.append(event)
-        observe.counter("online.events").inc()
-        code = event.entry_data
-        if code in self.catalog and self.catalog.is_fatal_code(code):
-            self._fatal_times.append(event.timestamp)
-            self._fatal_codes.append(code)
-        if self._adapt is not None:
-            self._adapt.observe_event(code, event.timestamp, event.location)
+        return self.ingest_batch((event,))
 
-        if self._predictor is None:
-            return []
-        with observe.timer("online.ingest"):
-            new = self._predictor.feed(event, tick=self.config.tick)
-        self.warnings.extend(new)
-        if self._adapt is not None and new:
-            self._adapt.observe_warnings(new)
-        return new
+    def _due(self) -> float:
+        """Stream time from which :meth:`cross_boundaries` has work:
+        the next retraining boundary, or an owed retry's backoff end."""
+        due = float("inf")
+        if self._next_retrain_week is not None:
+            due = self._boundary_time(self._next_retrain_week)
+        if self._pending_retrain_week is not None:
+            due = min(due, self._retry_at)
+        return due
+
+    def ingest_batch(self, events: Iterable[RASEvent]) -> list[FailureWarning]:
+        """Feed in-order events; returns the warnings they raised, in order.
+
+        This is the engine's one per-event loop; :meth:`ingest` is a
+        batch of one.  Each event still goes through
+        :meth:`Predictor.feed` and :meth:`DriftMonitor.observe_event`
+        as real method calls, exactly as if fed alone.  An event before
+        the origin or out of time order raises ``ValueError`` after the
+        events ahead of it were applied (and counted in
+        ``online.events``); validating a whole batch before any of it is
+        applied is the job of whoever owns the stack.
+        """
+        first = len(self.warnings)
+        origin, tick = self.origin, self.config.tick
+        adapt, fatal = self._adapt, self.catalog.fatal_codes
+        predictor = self._predictor
+        due = self._due()
+        n = 0
+        try:
+            for event in events:
+                t = event.timestamp
+                if t < self._last_time:
+                    if t < origin:
+                        raise ValueError(
+                            f"event at {t} precedes the session origin "
+                            f"{origin}"
+                        )
+                    raise ValueError(
+                        f"events must arrive in time order "
+                        f"({t} < {self._last_time})"
+                    )
+                if t >= due:
+                    self.cross_boundaries(t)
+                    due = self._due()
+                    predictor = self._predictor
+                self._last_time = t
+                self._events.append(event)
+                n += 1
+                code = event.entry_data
+                if code in fatal:
+                    self._fatal_times.append(t)
+                    self._fatal_codes.append(code)
+                if adapt is not None:
+                    adapt.observe_event(code, t, event.location)
+                if predictor is not None:
+                    new = predictor.feed(event, tick=tick)
+                    if new:
+                        self.warnings.extend(new)
+                        if adapt is not None:
+                            adapt.observe_warnings(new)
+        finally:
+            if n:
+                self._instruments().inc(n)
+        return self.warnings[first:]
+
+    def _instruments(self) -> observe.Counter:
+        registry = observe.get_registry()
+        if self._obs_registry is not registry:
+            self._obs_registry = registry
+            self._events_counter = registry.counter("online.events")
+        return self._events_counter
 
     def advance(self, now: float) -> list[FailureWarning]:
         """Move the session clock without an event (idle timer service)."""

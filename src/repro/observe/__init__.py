@@ -23,8 +23,13 @@ so instrumentation needs no constructor plumbing::
     observe.counter("service.events", shard="R01-M0").inc()  # labeled series
     print(observe.get_registry().to_json(indent=2))
 
-Instruments are cheap (a lock plus O(1) reservoir updates), so it is
-safe to leave them on in production; a fresh registry starts empty and
+A lookup by name costs a label sort and a dict probe, and a
+:class:`Span` is an allocation, which is a real share of a
+microsecond-scale event.  So per-event hot paths follow one rule: look
+each instrument up once per registry (keep it, and look again only
+when :func:`get_registry` returns a different registry) and record
+once per batch, not once per event.  Kept that way, instruments are
+safe to leave on in production.  A fresh registry starts empty and
 :meth:`MetricsRegistry.snapshot` renders everything recorded since.
 """
 

@@ -2,10 +2,13 @@
 
 Each instrument is thread-safe (the executors may train learners on
 worker threads) and snapshots to a plain-JSON dict.  The histogram keeps
-exact count/sum/min/max plus a fixed-size uniform reservoir (Vitter's
-Algorithm R) so p50/p95/p99 stay O(1) memory over unbounded streams.
-The reservoir RNG is seeded from the instrument name, keeping snapshots
-reproducible run-to-run for deterministic workloads.
+exact count/sum/min/max plus a fixed-size uniform reservoir so
+p50/p95/p99 stay O(1) memory over unbounded streams.  The reservoir is
+sampled by skipping (Li's Algorithm L): once it is full, the RNG is
+drawn only when an observation replaces a sample — about
+``k * ln(n / k)`` times over ``n`` observations — not once per
+observation.  The RNG is seeded from the instrument name, keeping
+snapshots reproducible run-to-run for deterministic workloads.
 
 Instruments are **mergeable**: :meth:`dump` exports an instrument's full
 state (for a histogram, including its reservoir) and :meth:`merge` folds
@@ -17,6 +20,7 @@ back to the parent registry under the subprocess service backend.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import zlib
@@ -96,7 +100,7 @@ class Histogram:
 
     __slots__ = (
         "name", "_count", "_sum", "_min", "_max",
-        "_reservoir", "_capacity", "_rng", "_lock",
+        "_reservoir", "_capacity", "_rng", "_lock", "_w", "_next",
     )
 
     def __init__(
@@ -116,6 +120,30 @@ class Histogram:
         # hash() is salted per-process; crc32 keeps the seed stable.
         self._rng = random.Random(zlib.crc32(name.encode()))
         self._lock = threading.Lock()
+        #: Algorithm L's threshold: the largest random key among the
+        #: retained samples (set once the reservoir is full)
+        self._w = 1.0
+        #: count at which the next observation replaces a sample
+        self._next = 0
+
+    def _skip(self) -> None:
+        """Draw the count of the next observation to enter the full
+        reservoir: a geometric skip past the current threshold."""
+        u = 1.0 - self._rng.random()  # (0, 1]: log() stays finite
+        self._next = self._count + 1 + int(math.log(u) / math.log1p(-self._w))
+
+    def _rearm(self) -> None:
+        """Redraw the threshold for a full reservoir holding a uniform
+        sample of ``count`` observations, then the skip.
+
+        The k-th smallest of ``count`` uniform keys is
+        Beta(k, count - k + 1) distributed, independent of which
+        observations hold those keys; at ``count == k`` this is
+        Algorithm L's initial ``u ** (1 / k)``.
+        """
+        k = self._capacity
+        self._w = self._rng.betavariate(k, self._count - k + 1)
+        self._skip()
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -126,12 +154,15 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if len(self._reservoir) < self._capacity:
+            if self._count == self._next:
+                rng = self._rng
+                self._reservoir[rng.randrange(self._capacity)] = value
+                self._w *= math.exp(math.log(1.0 - rng.random()) / self._capacity)
+                self._skip()
+            elif len(self._reservoir) < self._capacity:
                 self._reservoir.append(value)
-            else:
-                slot = self._rng.randrange(self._count)
-                if slot < self._capacity:
-                    self._reservoir[slot] = value
+                if len(self._reservoir) == self._capacity:
+                    self._rearm()
 
     @property
     def count(self) -> int:
@@ -249,3 +280,8 @@ class Histogram:
                     )
                 ]
             self._reservoir = merged
+            # The count moved, so any skip drawn before is stale.
+            if len(merged) == self._capacity:
+                self._rearm()
+            else:
+                self._next = 0

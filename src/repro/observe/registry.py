@@ -87,9 +87,14 @@ class MetricsRegistry:
         ] = {}
 
     def _get_or_create(self, name: str, cls, labels: dict[str, object]):
+        key = (name, labels_key(labels) if labels else ())
+        # Lock-free fast path for a series that already exists: a dict
+        # read is atomic, and a series is never replaced once created.
+        instrument = self._instruments.get(key)
+        if instrument.__class__ is cls:
+            return instrument
         if not name:
             raise ValueError("instrument name must be non-empty")
-        key = (name, labels_key(labels))
         with self._lock:
             instrument = self._instruments.get(key)
             if instrument is None:

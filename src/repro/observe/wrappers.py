@@ -15,6 +15,7 @@ throughput visible in ``repro metrics`` output and benchmark JSON::
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING
 
 from repro import observe
@@ -47,37 +48,47 @@ class MeteredSession:
         self.prefix = prefix
         self.labels = labels
         self._degraded_of = degraded_of if degraded_of is not None else inner
+        self._registry: observe.MetricsRegistry | None = None
+        self._cache: dict[str, object] = {}
+
+    def _series(self, kind: str, suffix: str):
+        """Instrument ``prefix.suffix`` of ``kind``, looked up once per
+        registry (and created only once something is recorded)."""
+        registry = observe.get_registry()
+        if self._registry is not registry:
+            self._registry, self._cache = registry, {}
+        instrument = self._cache.get(suffix)
+        if instrument is None:
+            instrument = self._cache[suffix] = getattr(registry, kind)(
+                f"{self.prefix}.{suffix}", **self.labels
+            )
+        return instrument
 
     def _record(self, new: "list[FailureWarning]", n_events: int) -> None:
         if n_events:
-            observe.counter(f"{self.prefix}.events", **self.labels).inc(
-                n_events
-            )
+            self._series("counter", "events").inc(n_events)
         if new:
-            observe.counter(f"{self.prefix}.warnings", **self.labels).inc(
-                len(new)
-            )
+            self._series("counter", "warnings").inc(len(new))
         degraded = getattr(self._degraded_of, "degraded", None)
         if degraded is not None:
-            observe.gauge(f"{self.prefix}.degraded", **self.labels).set(
-                1.0 if degraded else 0.0
+            self._series("gauge", "degraded").set(1.0 if degraded else 0.0)
+
+    def _timed(self, ingest, arg) -> "list[FailureWarning]":
+        start = time.perf_counter()
+        try:
+            return ingest(arg)
+        finally:
+            self._series("histogram", "ingest").observe(
+                time.perf_counter() - start
             )
 
     def ingest(self, event: "RASEvent") -> "list[FailureWarning]":
-        with observe.timer(f"{self.prefix}.ingest", **self.labels):
-            new = self.inner.ingest(event)
+        new = self._timed(self.inner.ingest, event)
         self._record(new, 1)
         return new
 
     def ingest_batch(self, events: "list[RASEvent]") -> "list[FailureWarning]":
-        batch = getattr(self.inner, "ingest_batch", None)
-        with observe.timer(f"{self.prefix}.ingest", **self.labels):
-            if batch is not None:
-                new = batch(events)
-            else:
-                new = []
-                for event in events:
-                    new.extend(self.inner.ingest(event))
+        new = self._timed(self.inner.ingest_batch, events)
         self._record(new, len(events))
         return new
 

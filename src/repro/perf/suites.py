@@ -232,7 +232,8 @@ def suite_service_throughput(smoke: bool = False) -> tuple[dict, dict]:
 
     assert fleet.n_events == single.n_events == len(log)
     snapshot = registry.snapshot()
-    ingest = snapshot.get("online.ingest", {})
+    # Per-event engine cost: the predictor's own timer around each feed.
+    ingest = snapshot.get("predictor.feed", {})
     retrain = snapshot.get("online.retrain", {})
 
     # Backend contrast: the same batched workload through an in-process

@@ -216,6 +216,11 @@ class EventCatalog:
         self._by_description: dict[tuple[Facility, str], EventType] = {
             (t.facility, t.description): t for t in types
         }
+        #: codes of the fatal types: one set probe tells a known fatal
+        #: code from a non-fatal or unknown one on the per-event paths
+        self.fatal_codes: frozenset[str] = frozenset(
+            t.code for t in types if t.fatal
+        )
 
     def __len__(self) -> int:
         return len(self._types)

@@ -54,6 +54,11 @@ from repro.resilience.checkpoint import fsync_directory
 #: ``<u32 payload length><u32 crc32(payload)>`` little-endian.
 _HEADER = struct.Struct("<II")
 
+#: Compact JSON for record payloads.  ``json.dumps`` with non-default
+#: separators builds a fresh encoder per call; one shared encoder writes
+#: the same bytes without that per-record set-up.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 #: Sanity cap on a single record; a larger claimed length is corruption
 #: (a real record is a few hundred bytes of JSON).
 MAX_RECORD_BYTES = 16 * 1024 * 1024
@@ -198,6 +203,7 @@ class EventJournal:
         self.n_torn_truncated = 0
         self._appends_since_sync = 0
         self._fd: int | None = None
+        self._registry: observe.MetricsRegistry | None = None
         self._open_tail()
 
     # -- opening / scanning ------------------------------------------------
@@ -254,6 +260,19 @@ class EventJournal:
 
     # -- appending ---------------------------------------------------------
 
+    def _instruments(self) -> "tuple[observe.Counter, ...]":
+        """``journal.appends``, ``.batched_appends`` and ``.fsyncs``,
+        looked up once per registry."""
+        registry = observe.get_registry()
+        if self._registry is not registry:
+            self._registry = registry
+            self._counters = (
+                registry.counter("journal.appends"),
+                registry.counter("journal.batched_appends"),
+                registry.counter("journal.fsyncs"),
+            )
+        return self._counters
+
     @property
     def position(self) -> int:
         """Global index one past the last committed record."""
@@ -284,7 +303,7 @@ class EventJournal:
         """
         if self._fd is None:
             raise JournalError("journal is closed")
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        payload = _ENCODER.encode(record).encode("utf-8")
         framed = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         plan = faults.active()
         kill_message = None
@@ -299,7 +318,7 @@ class EventJournal:
             raise faults.FaultInjected(kill_message)
         self._position += 1
         self._segment_size += len(framed)
-        observe.counter("journal.appends").inc()
+        self._instruments()[0].inc()
         self._maybe_sync()
         if self._segment_size >= self.segment_bytes:
             self._rotate()
@@ -330,17 +349,17 @@ class EventJournal:
                 self.append(record)
             return self._position
         frames = []
+        encode, pack, crc32 = _ENCODER.encode, _HEADER.pack, zlib.crc32
         for record in records:
-            payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-            frames.append(
-                _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-            )
+            payload = encode(record).encode("utf-8")
+            frames.append(pack(len(payload), crc32(payload)) + payload)
         buffer = b"".join(frames)
         os.write(self._fd, buffer)
         self._position += len(frames)
         self._segment_size += len(buffer)
-        observe.counter("journal.appends").inc(len(frames))
-        observe.counter("journal.batched_appends").inc(len(frames))
+        appends, batched, _ = self._instruments()
+        appends.inc(len(frames))
+        batched.inc(len(frames))
         policy = self.fsync_policy
         if policy == "always":
             self.sync()
@@ -369,7 +388,7 @@ class EventJournal:
             return
         os.fsync(self._fd)
         self._appends_since_sync = 0
-        observe.counter("journal.fsyncs").inc()
+        self._instruments()[2].inc()
 
     def _rotate(self) -> None:
         assert self._fd is not None

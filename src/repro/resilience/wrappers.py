@@ -1,6 +1,6 @@
 """Composable durability/delivery wrappers around a session core.
 
-Each wrapper implements the same three-method
+Each wrapper implements the same
 :class:`~repro.core.session.StreamSession` protocol it wraps, so layers
 stack by plain composition::
 
@@ -25,7 +25,7 @@ reach the write-ahead log.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro import observe
 from repro.raslog.events import RASEvent
@@ -60,32 +60,32 @@ class ReorderingSession:
         self.n_quarantined = 0
 
     def ingest(self, event: RASEvent) -> "list[FailureWarning]":
-        ready, dropped = self.buffer.push(event)
-        if dropped:
-            self.n_quarantined += len(dropped)
-            self.quarantined.extend(dropped)
-            observe.counter("online.quarantined").inc(len(dropped))
-        new: "list[FailureWarning]" = []
-        for e in ready:
-            new.extend(self.inner.ingest(e))
-        return new
+        return self.ingest_batch((event,))
+
+    def ingest_batch(
+        self, events: "Iterable[RASEvent]"
+    ) -> "list[FailureWarning]":
+        """Buffer the batch, then feed whatever it released in one call."""
+        ready: list[RASEvent] = []
+        for event in events:
+            released, dropped = self.buffer.push(event)
+            ready.extend(released)
+            if dropped:
+                self.n_quarantined += len(dropped)
+                self.quarantined.extend(dropped)
+                observe.counter("online.quarantined").inc(len(dropped))
+        return self.inner.ingest_batch(ready)
 
     def advance(self, now: float) -> "list[FailureWarning]":
         # The clock overtaking a buffered event forces it out: the
         # deployment timer observed "now", so nothing before it may
         # still be pending.
-        new: "list[FailureWarning]" = []
-        for e in self.buffer.release_until(now):
-            new.extend(self.inner.ingest(e))
-        new.extend(self.inner.advance(now))
-        return new
+        new = self.inner.ingest_batch(self.buffer.release_until(now))
+        return new + self.inner.advance(now)
 
     def flush(self) -> "list[FailureWarning]":
-        new: "list[FailureWarning]" = []
-        for e in self.buffer.drain():
-            new.extend(self.inner.ingest(e))
-        new.extend(self.inner.flush())
-        return new
+        new = self.inner.ingest_batch(self.buffer.drain())
+        return new + self.inner.flush()
 
 
 class JournalingSession:
@@ -125,10 +125,7 @@ class JournalingSession:
             self.journal.append_batch(
                 [{"kind": "ingest", "event": e.as_dict()} for e in events]
             )
-        new: "list[FailureWarning]" = []
-        for e in events:
-            new.extend(self.inner.ingest(e))
-        return new
+        return self.inner.ingest_batch(events)
 
     def advance(self, now: float) -> "list[FailureWarning]":
         self._append({"kind": "advance", "now": now})

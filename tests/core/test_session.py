@@ -2,21 +2,28 @@
 
 The core is the ordered event-at-a-time state machine; everything
 operational (reordering, journaling, metering) composes around it
-through the three-method :class:`StreamSession` protocol.  These tests
+through the :class:`StreamSession` protocol.  These tests
 pin the layering contract: each wrapper adds exactly its one concern and
 the stack as a whole behaves like the monolithic session it replaced.
 """
 
+import functools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import observe
 from repro.core.framework import FrameworkConfig
 from repro.core.online import OnlinePredictionSession
 from repro.core.session import SessionCore, StreamSession
+from repro.core.windows import TrainingPolicy, static_initial
+from repro.raslog.catalog import default_catalog
 from repro.observe.wrappers import MeteredSession
 from repro.resilience.journal import EventJournal
 from repro.resilience.wrappers import JournalingSession, ReorderingSession
 from repro.utils.timeutil import WEEK_SECONDS
+from tests.adapt.conftest import adaptive_config, shift_log
 from tests.conftest import make_event, make_log
 
 PRECURSOR_A = "KERNEL-N-002"
@@ -108,6 +115,109 @@ class TestSessionCore:
             theirs.n_warnings,
         )
         assert (ours.precision, ours.recall) == (theirs.precision, theirs.recall)
+
+
+#: Configs whose retrainings a split stream must reproduce: a sliding
+#: window retraining every two weeks, a static window that trains once,
+#: and the drift-triggered policy (weekly evaluations, a retrain after
+#: the week-4 pattern shift).
+BATCH_CONFIGS = {
+    "sliding": FrameworkConfig(
+        initial_train_weeks=2,
+        retrain_weeks=2,
+        policy=TrainingPolicy(kind="sliding", length_weeks=3),
+    ),
+    "static": FrameworkConfig(
+        initial_train_weeks=2, retrain_weeks=2, policy=static_initial()
+    ),
+    "adaptive": adaptive_config(),
+}
+SHIFTED = list(shift_log(weeks=8, shift_week=4))
+
+
+def outcome(core, registry):
+    summary = core.summary()
+    return (
+        core.warnings,
+        [
+            (r.week, r.train_span, r.n_candidates, r.n_kept, r.churn)
+            for r in core.retrains
+        ],
+        (summary.n_events, summary.n_fatal, summary.n_warnings),
+        (summary.precision, summary.recall),
+        registry.counter("online.events").value,
+    )
+
+
+@functools.cache
+def per_event_outcome(policy):
+    registry = observe.MetricsRegistry()
+    core = SessionCore(BATCH_CONFIGS[policy], catalog=default_catalog())
+    with observe.use_registry(registry):
+        for event in SHIFTED:
+            core.ingest(event)
+    return outcome(core, registry)
+
+
+class TestIngestBatch:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        policy=st.sampled_from(sorted(BATCH_CONFIGS)),
+        cuts=st.lists(st.integers(0, len(SHIFTED)), max_size=8),
+    )
+    @example(policy="sliding", cuts=[])
+    @example(policy="adaptive", cuts=[])
+    def test_any_split_equals_per_event_ingest(self, policy, cuts):
+        """Batches that cross retraining boundaries (and evaluations)
+        mid-batch raise the same warnings, retrain the same weeks and
+        count the same events as feeding one event at a time."""
+        bounds = [0, *sorted(set(cuts)), len(SHIFTED)]
+        registry = observe.MetricsRegistry()
+        core = SessionCore(BATCH_CONFIGS[policy], catalog=default_catalog())
+        returned = []
+        with observe.use_registry(registry):
+            for lo, hi in zip(bounds, bounds[1:]):
+                returned.extend(core.ingest_batch(SHIFTED[lo:hi]))
+        assert returned == core.warnings
+        assert outcome(core, registry) == per_event_outcome(policy)
+
+    def test_out_of_order_mid_batch_applies_the_prefix(self, catalog):
+        registry = observe.MetricsRegistry()
+        core = SessionCore(fast_config(), catalog=catalog)
+        batch = [
+            make_event(100.0, PRECURSOR_A),
+            make_event(200.0, PRECURSOR_B),
+            make_event(150.0, PRECURSOR_A),
+            make_event(300.0, PRECURSOR_B),
+        ]
+        with observe.use_registry(registry):
+            with pytest.raises(ValueError, match="time order"):
+                core.ingest_batch(batch)
+        assert core.last_time == 200.0
+        assert core.summary().n_events == 2
+        assert registry.counter("online.events").value == 2
+
+    def test_cached_instruments_follow_a_registry_swap(self, catalog, tmp_path):
+        """Layers look their instruments up once per registry: after a
+        ``use_registry`` swap they record into the new registry only."""
+        core = SessionCore(fast_config(), catalog=catalog)
+        journal = EventJournal(tmp_path / "j", fsync="always")
+        layer = MeteredSession(
+            JournalingSession(core, journal), prefix="service", shard="R01"
+        )
+        events = list(pattern_log(1))[:6]
+        first, second = observe.MetricsRegistry(), observe.MetricsRegistry()
+        with observe.use_registry(first):
+            layer.ingest_batch(events[:4])
+        with observe.use_registry(second):
+            layer.ingest_batch(events[4:])
+        journal.close()
+        for registry, n in ((first, 4), (second, 2)):
+            assert registry.counter("online.events").value == n
+            assert registry.counter("service.events", shard="R01").value == n
+            assert registry.histogram("service.ingest", shard="R01").count == 1
+            assert registry.counter("journal.appends").value == n
+            assert registry.counter("journal.fsyncs").value == 1
 
 
 class TestReorderingLayer:

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.observe import (
+    Histogram,
     MetricsRegistry,
     counter,
     get_registry,
@@ -72,6 +73,60 @@ class TestHistogram:
         assert len(h._reservoir) == h._capacity
         # The sampled p50 must land near the true median.
         assert 3_000 < h.quantile(0.5) < 7_000
+
+    def test_reservoir_keeps_each_position_with_probability_k_over_n(self):
+        # Skip-based sampling must still be uniform: over many
+        # independently seeded instruments, stream position i lands in
+        # the final reservoir k/n of the time.  Chi-square over the n
+        # positions (n - 1 degrees of freedom) at p = 0.001.
+        k, n, names = 4, 64, 4000
+        kept = [0] * n
+        for j in range(names):
+            h = Histogram(f"h{j}", reservoir_size=k)
+            for i in range(n):
+                h.observe(float(i))
+            for v in h.dump()["reservoir"]:
+                kept[int(v)] += 1
+        expected = names * k / n
+        chi2 = sum((c - expected) ** 2 / expected for c in kept)
+        assert chi2 < 103.44  # chi2.ppf(0.999, df=63)
+
+    def test_same_name_and_stream_give_the_same_reservoir(self):
+        def reservoir(name):
+            h = Histogram(name, reservoir_size=16)
+            for i in range(5000):
+                h.observe(float(i))
+            return h.dump()["reservoir"]
+
+        assert reservoir("lat") == reservoir("lat")
+        assert reservoir("lat") != reservoir("other")
+
+    def test_observe_after_merge_still_replaces(self):
+        # A merge moves the count past any skip drawn before it; a stale
+        # skip would never come due again and freeze the reservoir.
+        h = Histogram("lat", reservoir_size=16)
+        other = Histogram("lat", reservoir_size=16)
+        for i in range(16):
+            h.observe(float(i))
+            other.observe(float(100 + i))
+        h.merge(other.dump())
+        for i in range(2000):
+            h.observe(float(1000 + i))
+        fresh = [v for v in h.dump()["reservoir"] if v >= 1000]
+        # 2000 of 2032 observations are fresh: nearly all of the sample.
+        assert len(fresh) >= 12
+
+    def test_memory_stays_at_capacity_across_merges(self):
+        h = Histogram("lat", reservoir_size=32)
+        for round_ in range(5):
+            for i in range(1000):
+                h.observe(float(i))
+            other = Histogram(f"w{round_}", reservoir_size=32)
+            for i in range(500):
+                other.observe(float(i))
+            h.merge(other.dump())
+            assert len(h.dump()["reservoir"]) == 32
+        assert h.count == 7500
 
     def test_empty_snapshot(self):
         h = MetricsRegistry().histogram("h")

@@ -11,6 +11,10 @@ stays warning-for-warning equal to per-event ingest.
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import pytest
 
 from repro import observe
@@ -92,6 +96,49 @@ class TestAppendBatch:
             segments = sorted((tmp_path / "wal").glob("journal-*.seg"))
             assert len(segments) >= 2
             assert [r["i"] for _, r in journal.replay()] == list(range(16))
+
+
+#: Records whose encoding must not move: non-ASCII text, floats that
+#: need their full repr, and the non-finite floats JSON allows here.
+ODD_RECORDS = [
+    {"kind": "ingest", "event": {"location": "R00-M0-N01",
+                                 "entry_data": "naïve — fatal ✓ 故障"}},
+    {"kind": "advance", "now": 0.1 + 0.2},
+    {"kind": "ingest", "x": [1e300, -0.0, 5e-324, 123456789.125]},
+    {"kind": "ingest", "x": float("inf"), "y": -float("inf")},
+]
+
+
+def _parent_frames(records):
+    """Frames as ``json.dumps`` writes them: the format every journal on
+    disk was written in."""
+    out = b""
+    for record in records:
+        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        out += struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    return out
+
+
+class TestRecordEncoding:
+    def test_frames_equal_json_dumps_output(self, tmp_path):
+        with EventJournal(tmp_path / "wal", fsync="never") as journal:
+            journal.append(ODD_RECORDS[0])
+            journal.append_batch(ODD_RECORDS[1:])
+        (segment,) = (tmp_path / "wal").glob("journal-*.seg")
+        assert segment.read_bytes() == _parent_frames(ODD_RECORDS)
+
+    def test_journal_in_the_json_dumps_format_replays(self, tmp_path):
+        wal = tmp_path / "wal"
+        wal.mkdir()
+        (wal / "journal-0.seg").write_bytes(_parent_frames(ODD_RECORDS))
+        with EventJournal(wal, fsync="never") as journal:
+            assert journal.position == len(ODD_RECORDS)
+            assert [r for _, r in journal.replay()] == ODD_RECORDS
+            journal.append({"kind": "flush"})
+        with EventJournal(wal, fsync="never") as journal:
+            assert [r for _, r in journal.replay()] == [
+                *ODD_RECORDS, {"kind": "flush"}
+            ]
 
 
 def _stream(n=120):

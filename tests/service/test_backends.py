@@ -324,7 +324,7 @@ class TestSubprocessDurability:
         with observe.use_registry(observe.MetricsRegistry()) as reference:
             with PredictionService(fast_config(), catalog=catalog) as inproc:
                 stream(inproc, events)
-            expected = reference.snapshot()["online.ingest"]["count"]
+            expected = reference.snapshot()["predictor.feed"]["count"]
         assert expected > 0
 
         with observe.use_registry(observe.MetricsRegistry()):
@@ -336,10 +336,10 @@ class TestSubprocessDurability:
                 merged = service.merged_metrics()
                 # The parent's own registry never saw these series.
                 local = observe.get_registry().snapshot()
-        assert "online.ingest" not in local
+        assert "predictor.feed" not in local
         # Worker-side ingest instrumentation, summed across the fleet,
         # matches what the same workload records in-process.
-        assert merged["online.ingest"]["count"] == expected
+        assert merged["predictor.feed"]["count"] == expected
         for key, pid in pids.items():
             series = merged[f'service.workers{{shard="{key}"}}']
             assert series["value"] == pid
