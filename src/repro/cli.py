@@ -342,7 +342,7 @@ def _run_service(
     ingested = 0
     with service:
         for event in log:
-            key = service.router.key(event)
+            key = service.shard_key(event)
             if skipped.get(key, 0) > 0:
                 skipped[key] -= 1
                 continue

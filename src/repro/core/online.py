@@ -247,11 +247,12 @@ class OnlinePredictionSession:
         """Reject events before the origin or (without reorder slack) out
         of time order, before any of them reaches the stack."""
         last = self._core.last_time
+        origin = self.origin
         for event in events:
-            if event.timestamp < self.origin:
+            if event.timestamp < origin:
                 raise ValueError(
                     f"event at {event.timestamp} precedes the session "
-                    f"origin {self.origin}"
+                    f"origin {origin}"
                 )
             if self._reordering is None:
                 if event.timestamp < last:

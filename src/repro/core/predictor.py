@@ -43,6 +43,22 @@ per-code timestamp deque instead of scanning the full window.
 ``indexing="scan"`` keeps the original per-event scans (same warnings,
 slower) so the speedup stays measurable on one harness
 (``repro bench --topic predictor_feed``).
+
+**Hot path.**  Each event pays only for the work it can trigger.
+:meth:`Predictor.feed` enters :meth:`Predictor.catch_up` only when the
+distribution timer could fire before the event: the floor of
+``_next_timer_fire`` (the last failure plus the smallest fitted quantile,
+the re-arm time and the clock, computed with the smallest quantile taken
+once at construction) lies before the event's timestamp.
+:meth:`Predictor.observe` consults each expert only when its
+precondition holds: the association expert when the event's code is in
+the E-List (the compiled candidates are keyed by the same codes), the
+count expert when a count rule watches the code, the statistical expert
+on a failure when statistical rules exist, and the distribution expert
+when a failure has been seen, its re-arm time has passed and the time
+since that failure reaches the smallest fitted quantile (the same
+``now - last_fatal_time`` each rule compares, so no rule the gate skips
+could have fired).  The experts themselves assume their precondition.
 """
 
 from __future__ import annotations
@@ -163,6 +179,13 @@ class Predictor:
             else:
                 raise TypeError(f"unsupported rule type {type(rule).__name__}")
         self.statistical_rules.sort(key=lambda r: r.k)
+        #: the distribution timer cannot fire before the last failure plus
+        #: this (infinite without distribution rules); rules are fixed
+        #: after construction, so it is taken once
+        self._min_quantile = min(
+            (r.quantile_time for r in self.distribution_rules),
+            default=float("inf"),
+        )
 
         # F-List / E-List of Algorithm 2.
         self.f_list: dict[str, list[AssociationRule]] = {}
@@ -178,6 +201,7 @@ class Predictor:
             self._compile_indices()
 
         self.state = PredictorState()
+        self._refractory_sweep_at = float("-inf")
         self._rebuild_tracking()
 
         # Instrument handles are cached per registry so the per-event
@@ -218,39 +242,27 @@ class Predictor:
     def _rebuild_tracking(self) -> None:
         """(Re)derive incremental occurrence tracking from ``state``.
 
-        Called on construction and after :meth:`restore_state`; the
-        tracked structures are pure functions of the monitoring deque, so
-        they are never checkpointed.
+        Called on construction, after :meth:`prime` and after
+        :meth:`restore_state`; the tracked structures are pure functions
+        of the monitoring deque, so they are never checkpointed.
+        :meth:`observe` and :meth:`_prune` maintain them inline for each
+        appended and expired event.
         """
-        self._refractory_sweep_at = float("-inf")
         if not self._compiled:
             return
         #: per-code occurrence count inside the monitoring window
         self._acounts: dict[str, int] = {}
         #: per-count-rule-code timestamps inside the monitoring window
         self._ctimes: dict[str, deque] = {c: deque() for c in self.count_rules}
+        acount_codes, acounts, ctimes = (
+            self._acount_codes, self._acounts, self._ctimes
+        )
         for t, code in self.state.monitoring:
-            self._track_append(t, code)
-
-    def _track_append(self, t: float, code: str) -> None:
-        """Maintain the compiled-index tracking for one appended event."""
-        if code in self._acount_codes:
-            self._acounts[code] = self._acounts.get(code, 0) + 1
-        times = self._ctimes.get(code)
-        if times is not None:
-            times.append(t)
-
-    def _track_popleft(self, code: str) -> None:
-        """Undo :meth:`_track_append` for the oldest event of ``code``."""
-        if code in self._acount_codes:
-            remaining = self._acounts[code] - 1
-            if remaining:
-                self._acounts[code] = remaining
-            else:
-                del self._acounts[code]
-        times = self._ctimes.get(code)
-        if times is not None:
-            times.popleft()
+            if code in acount_codes:
+                acounts[code] = acounts.get(code, 0) + 1
+            times = ctimes.get(code)
+            if times is not None:
+                times.append(t)
 
     # -- internals ----------------------------------------------------------
 
@@ -263,12 +275,26 @@ class Predictor:
         return self._feed_histogram, self._warning_counter
 
     def _prune(self, now: float) -> None:
+        """Expire what ``now`` left behind: monitored events and recent
+        failures older than the window (with their compiled tracking),
+        and, when the amortized sweep is due, stale refractory stamps."""
         horizon = now - self.window
         monitoring = self.state.monitoring
         if self._compiled:
+            acount_codes, acounts, ctimes = (
+                self._acount_codes, self._acounts, self._ctimes
+            )
             while monitoring and monitoring[0][0] < horizon:
                 _, code = monitoring.popleft()
-                self._track_popleft(code)
+                if code in acount_codes:
+                    remaining = acounts[code] - 1
+                    if remaining:
+                        acounts[code] = remaining
+                    else:
+                        del acounts[code]
+                times = ctimes.get(code)
+                if times is not None:
+                    times.popleft()
         else:
             while monitoring and monitoring[0][0] < horizon:
                 monitoring.popleft()
@@ -303,11 +329,10 @@ class Predictor:
         )
 
     def _match_association(self, event: RASEvent) -> list[FailureWarning]:
+        """Association expert; the event's code must be in the E-List."""
         if not self._compiled:
             return self._match_association_scan(event)
-        candidates = self._assoc_candidates.get(event.entry_data)
-        if not candidates:
-            return []
+        candidates = self._assoc_candidates[event.entry_data]
         # Hash join: the triggering code keys straight into the rules it
         # can complete; the residual antecedent is checked against the
         # incrementally maintained per-code occurrence counts.  (The
@@ -330,9 +355,7 @@ class Predictor:
 
     def _match_association_scan(self, event: RASEvent) -> list[FailureWarning]:
         code = event.entry_data
-        possible = self.e_list.get(code)
-        if not possible:
-            return []
+        possible = self.e_list[code]
         recent_codes = {c for _, c in self.state.monitoring}
         recent_codes.add(code)
         warnings: list[FailureWarning] = []
@@ -347,10 +370,9 @@ class Predictor:
         return warnings
 
     def _match_count(self, event: RASEvent) -> list[FailureWarning]:
+        """Count expert; a count rule must watch the event's code."""
         code = event.entry_data
-        candidates = self.count_rules.get(code)
-        if not candidates:
-            return []
+        candidates = self.count_rules[code]
         now = event.timestamp
         warnings: list[FailureWarning] = []
         if self._compiled:
@@ -381,6 +403,7 @@ class Predictor:
         return warnings
 
     def _match_statistical(self, event: RASEvent) -> list[FailureWarning]:
+        """Statistical expert, on a failure; statistical rules must exist."""
         fatals = self.state.recent_fatals
         now = event.timestamp
         # Most-specific expert: the largest k whose own window holds a
@@ -404,14 +427,22 @@ class Predictor:
         w = self._fire(now, ANY_FAILURE, best.key, "statistical")
         return [w] if w is not None else []
 
+    def _distribution_due(self, now: float) -> bool:
+        """Whether the distribution expert can fire at ``now``: a failure
+        has been seen, its re-arm time has passed, and the time since the
+        failure reaches the smallest fitted quantile (never, without
+        distribution rules)."""
+        state = self.state
+        last_fatal = state.last_fatal_time
+        return (
+            last_fatal is not None
+            and now >= state.dist_next_allowed
+            and now - last_fatal >= self._min_quantile
+        )
+
     def _check_distribution(self, now: float) -> list[FailureWarning]:
-        if not self.distribution_rules:
-            return []
+        """Distribution expert; :meth:`_distribution_due` must hold."""
         last_fatal = self.state.last_fatal_time
-        if last_fatal is None:
-            return []
-        if now < self.state.dist_next_allowed:
-            return []
         warnings: list[FailureWarning] = []
         horizon = self.window
         for rule in self.distribution_rules:
@@ -460,22 +491,23 @@ class Predictor:
         afterwards (events beyond it are rejected, like :meth:`observe`).
         """
         state = self.state
-        for event in events:
-            t = event.timestamp
-            if t < state.clock:
-                raise ValueError(
-                    f"priming events must arrive in time order: "
-                    f"{t} < {state.clock}"
-                )
-            state.clock = t
-            code = event.entry_data
-            if code in self.catalog.fatal_codes:
-                state.recent_fatals.append(t)
-                state.last_fatal_time = t
-                state.dist_next_allowed = t
-            state.monitoring.append((t, code))
-            if self._compiled:
-                self._track_append(t, code)
+        try:
+            for event in events:
+                t = event.timestamp
+                if t < state.clock:
+                    raise ValueError(
+                        f"priming events must arrive in time order: "
+                        f"{t} < {state.clock}"
+                    )
+                state.clock = t
+                code = event.entry_data
+                if code in self.catalog.fatal_codes:
+                    state.recent_fatals.append(t)
+                    state.last_fatal_time = t
+                    state.dist_next_allowed = t
+                state.monitoring.append((t, code))
+        finally:
+            self._rebuild_tracking()
         if now is not None:
             if now < state.clock:
                 raise ValueError(
@@ -492,40 +524,51 @@ class Predictor:
             )
         self.state.clock = now
         self._prune(now)
-        return self._check_distribution(now)
+        if self._distribution_due(now):
+            return self._check_distribution(now)
+        return []
 
     def observe(self, event: RASEvent) -> list[FailureWarning]:
         """Feed one event (Algorithm 2's per-occurrence step)."""
         now = event.timestamp
-        if now < self.state.clock:
+        state = self.state
+        if now < state.clock:
             raise ValueError(
-                f"events must arrive in time order: {now} < {self.state.clock}"
+                f"events must arrive in time order: {now} < {state.clock}"
             )
-        self.state.clock = now
+        state.clock = now
         self._prune(now)
 
         code = event.entry_data
-        is_fatal = code in self.catalog.fatal_codes
         warnings: list[FailureWarning] = []
 
-        if is_fatal:
-            self.state.recent_fatals.append(now)
-            warnings.extend(self._match_statistical(event))
+        if code in self.catalog.fatal_codes:
+            state.recent_fatals.append(now)
+            if self.statistical_rules:
+                warnings = self._match_statistical(event)
             # A failure resets the elapsed-time expert.
-            self.state.last_fatal_time = now
-            self.state.dist_next_allowed = now
+            state.last_fatal_time = now
+            state.dist_next_allowed = now
         else:
-            warnings.extend(self._match_association(event))
-            warnings.extend(self._match_count(event))
+            if code in self.e_list:
+                warnings = self._match_association(event)
+            if code in self.count_rules:
+                warnings.extend(self._match_count(event))
 
-        self.state.monitoring.append((now, code))
+        state.monitoring.append((now, code))
         if self._compiled:
-            self._track_append(now, code)
+            if code in self._acount_codes:
+                acounts = self._acounts
+                acounts[code] = acounts.get(code, 0) + 1
+            times = self._ctimes.get(code)
+            if times is not None:
+                times.append(now)
 
-        if self.ensemble == "experts":
-            if not warnings:
-                warnings.extend(self._check_distribution(now))
-        else:  # union/weighted: every expert gets to speak
+        # experts: the distribution expert is the fallback when the
+        # others stayed silent; union/weighted: every expert speaks.
+        if (
+            not warnings or self.ensemble != "experts"
+        ) and self._distribution_due(now):
             warnings.extend(self._check_distribution(now))
         if self.ensemble == "weighted":
             warnings = [
@@ -535,6 +578,20 @@ class Predictor:
             ]
         return warnings
 
+    def _timer_floor(self) -> float:
+        """Earliest instant the distribution timer could fire, before
+        alignment to the tick grid: the smallest fitted quantile crossed,
+        the re-arm delay expired, and not before the clock.  Infinite
+        without distribution rules or before the first failure."""
+        state = self.state
+        if state.last_fatal_time is None:
+            return float("inf")
+        return max(
+            state.last_fatal_time + self._min_quantile,
+            state.dist_next_allowed,
+            state.clock,
+        )
+
     def _next_timer_fire(self, tick: float) -> float | None:
         """Earliest future time the distribution expert could fire.
 
@@ -543,12 +600,9 @@ class Predictor:
         when the smallest fitted quantile is crossed (or the re-arm delay
         expires), rounded up to the tick grid.
         """
-        if not self.distribution_rules or self.state.last_fatal_time is None:
+        t = self._timer_floor()
+        if t == float("inf"):
             return None
-        earliest_cross = self.state.last_fatal_time + min(
-            r.quantile_time for r in self.distribution_rules
-        )
-        t = max(earliest_cross, self.state.dist_next_allowed, self.state.clock)
         # Align to the timer grid (a live deployment only looks at the
         # clock every ``tick`` seconds).
         grid = -(-t // tick) * tick  # ceil to multiple of tick
@@ -566,10 +620,12 @@ class Predictor:
         if tick is not None and tick <= 0:
             raise ValueError(f"tick must be positive, got {tick}")
         t0 = time.perf_counter()
-        warnings: list[FailureWarning] = []
-        if tick is not None:
-            warnings.extend(self.catch_up(event.timestamp, tick))
-        warnings.extend(self.observe(event))
+        # Most events arrive before the timer could fire: skip the loop.
+        if tick is not None and self._timer_floor() < event.timestamp:
+            warnings = self.catch_up(event.timestamp, tick)
+            warnings.extend(self.observe(event))
+        else:
+            warnings = self.observe(event)
         feed_histogram, warning_counter = self._instruments()
         feed_histogram.observe(time.perf_counter() - t0)
         if warnings:
@@ -661,4 +717,5 @@ class Predictor:
             },
             dist_next_allowed=snapshot["dist_next_allowed"],
         )
+        self._refractory_sweep_at = float("-inf")
         self._rebuild_tracking()

@@ -394,7 +394,9 @@ class SessionCore:
         This is the engine's one per-event loop; :meth:`ingest` is a
         batch of one.  Each event still goes through
         :meth:`Predictor.feed` and :meth:`DriftMonitor.observe_event`
-        as real method calls, exactly as if fed alone.  An event before
+        as real method calls, exactly as if fed alone: they are the
+        per-event trace points a profiler or benchmark wraps, so they
+        are not inlined into this loop.  An event before
         the origin or out of time order raises ``ValueError`` after the
         events ahead of it were applied (and counted in
         ``online.events``); validating a whole batch before any of it is

@@ -124,12 +124,19 @@ def parse_request(obj: dict[str, Any]) -> tuple[str, int]:
     return kind, seq
 
 
+#: RASEvent fields a producer sends as text.
+_EVENT_STRING_FIELDS = ("event_type", "location", "entry_data")
+
+
 def event_from_request(obj: dict[str, Any]):
     """Decode the ``event`` payload of an ``ingest`` frame to a RASEvent.
 
     Raises :class:`ProtocolError` (``bad-event``) on a missing, untyped
     or unconstructible payload, so a producer bug is answered with a
-    typed error while the connection keeps serving.
+    typed error while the connection keeps serving.  The string fields
+    must be strings that encode as UTF-8: JSON can carry a lone
+    surrogate (``"\\ud800"``), which would otherwise fail later, in the
+    router's or the journal's encoding, outside the request's error path.
     """
     from repro.raslog.events import RASEvent
 
@@ -138,6 +145,20 @@ def event_from_request(obj: dict[str, Any]):
         raise ProtocolError(
             ERR_BAD_EVENT, "ingest frame carries no event object"
         )
+    for name in _EVENT_STRING_FIELDS:
+        if name not in payload:
+            continue  # a missing field is RASEvent.from_dict's KeyError
+        value = payload[name]
+        if not isinstance(value, str):
+            raise ProtocolError(
+                ERR_BAD_EVENT, f"bad event: {name} must be a string"
+            )
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ProtocolError(
+                ERR_BAD_EVENT, f"bad event: {name} is not valid UTF-8"
+            ) from exc
     try:
         return RASEvent.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:

@@ -16,8 +16,9 @@ across two threads:
   subscriber fan-out.
 
 **Micro-batching.**  ``ingest`` frames are routed to their shard (the
-router is pure, so routing is safe on the loop thread) and appended to a
-per-shard pending batch.  A batch commits when it reaches
+router is pure, so routing is safe on the loop thread; the service's
+per-location memo makes the engine's second routing a dict lookup) and
+appended to a per-shard pending batch.  A batch commits when it reaches
 ``batch_size`` events or its oldest event has waited ``max_linger``
 seconds, whichever is first, through
 :meth:`PredictionService.ingest_batch` — one engine round-trip and, with
@@ -448,7 +449,7 @@ class PredictionServer:
                 protocol.ERR_DRAINING, "server is draining; re-send after recovery"
             )
         event = protocol.event_from_request(frame)
-        key = self.service.router.key(event)
+        key = self.service.shard_key(event)
         shard = self._shards.get(key)
         if shard is None:
             shard = self._shards[key] = _ShardQueue()

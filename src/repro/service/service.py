@@ -9,7 +9,11 @@ checkpoints and recovers as a unit:
 
 * **routing** — a pure router (:mod:`repro.service.partition`) maps an
   event to a shard key; location routing creates shards lazily as new
-  locations appear, hash routing folds locations into a fixed count;
+  locations appear, hash routing folds locations into a fixed count.
+  Every router is a pure function of the event's location, so
+  :meth:`PredictionService.shard_key` memoizes it per location for the
+  current router (a reshard or a recovery installs a new router and so
+  starts a new memo);
 * **pluggable shard placement** — the service speaks to shards only
   through :class:`~repro.service.backends.ShardHandle`.  The default
   :class:`~repro.service.backends.InprocBackend` hosts every stack in
@@ -251,6 +255,32 @@ class PredictionService:
             # not just from its first checkpoint.
             self._write_manifest()
 
+    # -- routing ---------------------------------------------------------
+
+    @property
+    def router(self) -> Router:
+        """The router events are sharded by."""
+        return self._routing[0]
+
+    @router.setter
+    def router(self, router: Router) -> None:
+        # The router and its memo are swapped as one pair, so a key
+        # computed under the old router (on another thread, say) can only
+        # land in the old memo.
+        self._routing: tuple[Router, dict[str, str]] = (router, {})
+
+    def shard_key(self, event: RASEvent) -> str:
+        """The shard key of ``event`` under the current router.
+
+        Memoized per location: every router is a pure function of the
+        location, so the memo holds one entry per distinct location.
+        """
+        router, memo = self._routing
+        key = memo.get(event.location)
+        if key is None:
+            key = memo[event.location] = router.key(event)
+        return key
+
     # -- shard lifecycle ---------------------------------------------------
 
     @property
@@ -308,7 +338,7 @@ class PredictionService:
         return shard
 
     def _shard_for(self, event: RASEvent) -> ShardHandle:
-        key = self.router.key(event)
+        key = self.shard_key(event)
         if key in self._down:
             raise ShardDown(key)
         shard = self._shards.get(key)
@@ -403,8 +433,11 @@ class PredictionService:
             if not events:
                 return []
             groups: dict[str, list[RASEvent]] = {}
+            memo = self._routing[1]
             for event in events:
-                groups.setdefault(self.router.key(event), []).append(event)
+                # A memo hit skips the call; a miss fills the memo.
+                key = memo.get(event.location) or self.shard_key(event)
+                groups.setdefault(key, []).append(event)
             for key in groups:
                 if key in self._down:
                     raise ShardDown(key)

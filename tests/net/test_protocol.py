@@ -77,6 +77,17 @@ class TestEventFromRequest:
             event_from_request({"event": {"timestamp": "not-a-number"}})
         assert exc.value.code == protocol.ERR_BAD_EVENT
 
+    @pytest.mark.parametrize("field", ["event_type", "location", "entry_data"])
+    @pytest.mark.parametrize("value", ["R00-\ud800", 7, None])
+    def test_text_field_must_be_utf8_text(self, field, value):
+        payload = make_event(1.0, "KERNEL-N-002").as_dict()
+        payload[field] = value
+        frame = json.loads(encode_frame({"event": payload}))
+        with pytest.raises(ProtocolError) as exc:
+            event_from_request(frame)
+        assert exc.value.code == protocol.ERR_BAD_EVENT
+        assert field in str(exc.value)
+
 
 class TestFrameBuffer:
     def test_frames_split_across_chunks(self):

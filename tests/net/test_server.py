@@ -182,6 +182,31 @@ class TestProtocolEdges:
                 raw.sendall(encode_frame({"type": "health", "seq": 5}))
                 assert decode_frame(fh.readline()[:-1])["status"] == "ok"
 
+    def test_unencodable_location_is_a_typed_bad_event(self, catalog):
+        # A lone surrogate is valid JSON but not UTF-8 text: it must get
+        # a typed error, and the valid frame behind it on the same socket
+        # must still be committed and acked.
+        service = make_service(catalog)
+        bad = make_event(10.0, PRECURSOR_A).as_dict()
+        bad["location"] = "R00-\ud800"
+        good = make_event(20.0, PRECURSOR_A).as_dict()
+        with serve_in_thread(service, batch_size=1) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as raw:
+                fh = raw.makefile("rb")
+                raw.sendall(
+                    encode_frame({"type": "ingest", "seq": 0, "event": bad})
+                    + encode_frame({"type": "ingest", "seq": 1, "event": good})
+                )
+                reply = decode_frame(fh.readline()[:-1])
+                assert reply["type"] == "error"
+                assert reply["code"] == protocol.ERR_BAD_EVENT
+                assert reply["seq"] == 0
+                reply = decode_frame(fh.readline()[:-1])
+                assert reply == {"type": "ack", "seq": 1}
+        assert service.n_ingested == 1
+
     def test_oversized_frame_answered_connection_survives(self, catalog):
         service = make_service(catalog)
         with serve_in_thread(service, max_frame_bytes=512) as server:
