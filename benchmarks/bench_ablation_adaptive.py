@@ -7,7 +7,7 @@ the adaptive tuner: the tuner must stay within a small F1 band of the best
 fixed window while choosing small windows when they suffice.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.core.adaptive import AdaptiveWindowFramework, AdaptiveWindowTuner
 from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
@@ -21,7 +21,7 @@ def _f1(p, r):
 
 
 def _run_variants():
-    syn = make_log("SDSC", seed=BENCH_SEED, weeks=72)
+    syn = make_log("SDSC", seed=SEED, weeks=72)
     results = {}
     for name, window in (("fixed-5min", 300.0), ("fixed-2hr", 7200.0)):
         config = FrameworkConfig(prediction_window=window)

@@ -8,7 +8,7 @@ emits at least as many warnings; the mixture trades a little recall for
 fewer redundant alarms.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
 from repro.evaluation.timeline import mean_accuracy
@@ -17,7 +17,7 @@ from repro.utils.tables import TableResult
 
 
 def _run_both():
-    syn = make_log("SDSC", seed=BENCH_SEED, weeks=60)
+    syn = make_log("SDSC", seed=SEED, weeks=60)
     results = {}
     for policy in ("experts", "union"):
         config = FrameworkConfig(ensemble=policy)

@@ -8,7 +8,7 @@ training set and checks they produce identical rule sets.
 
 import time
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.core.meta import MetaLearner
 from repro.experiments.config import make_log
@@ -17,7 +17,7 @@ from repro.utils.tables import TableResult
 
 
 def _run_backends():
-    syn = make_log("SDSC", seed=BENCH_SEED, weeks=104)
+    syn = make_log("SDSC", seed=SEED, weeks=104)
     train_log = syn.clean.slice_weeks(0, 104)
     timings = {}
     outputs = {}

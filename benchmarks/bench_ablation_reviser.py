@@ -6,7 +6,7 @@ setting balances: low thresholds keep noisy rules (more recall, less
 precision); very strict thresholds starve the rule set.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
 from repro.evaluation.timeline import mean_accuracy
@@ -17,7 +17,7 @@ MIN_ROCS = (0.1, 0.7, 1.2)
 
 
 def _run_sweep():
-    syn = make_log("SDSC", seed=BENCH_SEED, weeks=56)
+    syn = make_log("SDSC", seed=SEED, weeks=56)
     results = {}
     for min_roc in MIN_ROCS:
         config = FrameworkConfig(min_roc=min_roc)

@@ -6,7 +6,7 @@ SDSC reconfiguration around week 60–64 produces a visible dip that heals
 after a few retrainings.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.evaluation.timeline import mean_accuracy, rolling_metrics
 from repro.experiments import q2_retrain_period
@@ -14,7 +14,7 @@ from repro.experiments import q2_retrain_period
 
 def test_fig10_retrain_period(benchmark, show):
     table, results = run_once(
-        benchmark, q2_retrain_period.run, system="SDSC", seed=BENCH_SEED
+        benchmark, q2_retrain_period.run, system="SDSC", seed=SEED
     )
 
     recall = {wr: mean_accuracy(r.weekly)[1] for wr, r in results.items()}

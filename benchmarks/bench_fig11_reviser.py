@@ -6,7 +6,7 @@ admit.  Reproduced shape: revised precision is at or above unrevised
 precision, and the reviser does not cost meaningful recall.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.evaluation.timeline import mean_accuracy
 from repro.experiments import q2_reviser
@@ -14,7 +14,7 @@ from repro.experiments import q2_reviser
 
 def test_fig11_reviser_effect(benchmark, show):
     table, results = run_once(
-        benchmark, q2_reviser.run, system="SDSC", seed=BENCH_SEED
+        benchmark, q2_reviser.run, system="SDSC", seed=SEED
     )
 
     p_rev, r_rev = mean_accuracy(results["revised"].weekly)

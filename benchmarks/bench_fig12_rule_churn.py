@@ -7,14 +7,14 @@ reconfiguration around week 60–64 triggers an outsized spike of
 additions/removals.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.experiments import q2_rule_churn
 
 
 def test_fig12_rule_churn(benchmark, show):
     table, result = run_once(
-        benchmark, q2_rule_churn.run, system="SDSC", seed=BENCH_SEED
+        benchmark, q2_rule_churn.run, system="SDSC", seed=SEED
     )
     records = result.churn.records
 

@@ -6,7 +6,7 @@ spread across windows stays within ~0.25 and recall within ~0.15, and
 both metrics stay above ≈ 0.55 in most settings.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.evaluation.timeline import trend_slope
 from repro.experiments import q3_window
@@ -14,7 +14,7 @@ from repro.experiments import q3_window
 
 def test_fig13_prediction_window(benchmark, show):
     table, _ = run_once(
-        benchmark, q3_window.run, system="SDSC", seed=BENCH_SEED
+        benchmark, q3_window.run, system="SDSC", seed=SEED
     )
 
     recalls = table.column("recall")

@@ -7,7 +7,7 @@ prediction window.
 """
 
 import pytest
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.experiments import figure4
 
@@ -15,7 +15,7 @@ from repro.experiments import figure4
 @pytest.mark.parametrize("system", ["ANL", "SDSC"])
 def test_fig4_daily_fatal_counts(benchmark, show, system):
     table, daily = run_once(
-        benchmark, figure4.run, system=system, seed=BENCH_SEED
+        benchmark, figure4.run, system=system, seed=SEED
     )
     stats = {r["statistic"]: r["value"] for r in table.rows}
 

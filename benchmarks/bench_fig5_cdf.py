@@ -9,7 +9,7 @@ reference points.
 """
 
 import pytest
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.experiments import figure5
 
@@ -17,7 +17,7 @@ from repro.experiments import figure5
 @pytest.mark.parametrize("system", ["ANL", "SDSC"])
 def test_fig5_interarrival_fits(benchmark, show, system):
     fit_table, cdf_table = run_once(
-        benchmark, figure5.run, system=system, seed=BENCH_SEED
+        benchmark, figure5.run, system=system, seed=SEED
     )
 
     by_family = {r["family"]: r for r in fit_table.rows}

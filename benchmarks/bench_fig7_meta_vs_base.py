@@ -8,7 +8,7 @@ strongest of the base methods; and every static method's accuracy decays
 over the test horizon.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.evaluation.timeline import mean_accuracy
 from repro.experiments import q1_meta
@@ -16,7 +16,7 @@ from repro.experiments import q1_meta
 
 def test_fig7_meta_vs_base(benchmark, show):
     table, results = run_once(
-        benchmark, q1_meta.run, system="SDSC", seed=BENCH_SEED
+        benchmark, q1_meta.run, system="SDSC", seed=SEED
     )
 
     precision = {}
@@ -62,7 +62,7 @@ def test_fig7_relations_hold_on_anl(benchmark, show):
     stale association rules decay especially hard — the base-learner
     ordering must still hold."""
     table, results = run_once(
-        benchmark, q1_meta.run, system="ANL", seed=BENCH_SEED
+        benchmark, q1_meta.run, system="ANL", seed=SEED
     )
     precision = {}
     recall = {}

@@ -7,14 +7,14 @@ Reproduced shape: the same coverage ordering, substantial multi-learner
 overlap, and a non-empty uncaptured remainder (Observation #1).
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.experiments import figure8
 
 
 def test_fig8_venn_coverage(benchmark, show):
     table, venn = run_once(
-        benchmark, figure8.run, system="SDSC", seed=BENCH_SEED, span=(44, 48)
+        benchmark, figure8.run, system="SDSC", seed=SEED, span=(44, 48)
     )
 
     cov = {name: venn.coverage_fraction(name) for name in venn.names}

@@ -8,7 +8,7 @@ primarily through precision (stale rules keep firing, increasingly
 wrongly) — see EXPERIMENTS.md.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.evaluation.timeline import mean_accuracy, rolling_metrics, trend_slope
 from repro.experiments import q2_training_size
@@ -20,7 +20,7 @@ def _f1(p, r):
 
 def test_fig9_training_size_policies(benchmark, show):
     table, results = run_once(
-        benchmark, q2_training_size.run, system="SDSC", seed=BENCH_SEED
+        benchmark, q2_training_size.run, system="SDSC", seed=SEED
     )
 
     recall = {}

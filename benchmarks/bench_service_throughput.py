@@ -16,7 +16,7 @@ would use to size a real fleet.
 
 import time
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.core.framework import FrameworkConfig
 from repro.core.online import OnlinePredictionSession
@@ -31,7 +31,7 @@ N_SHARDS = 4
 def _trace():
     trace = generate_log(
         SDSC_PROFILE,
-        GeneratorConfig(scale=0.5, weeks=16, seed=BENCH_SEED),
+        GeneratorConfig(scale=0.5, weeks=16, seed=SEED),
     )
     log = PreprocessingPipeline().run(trace.raw).clean
     return log.with_origin(trace.raw.origin)

@@ -7,7 +7,7 @@ KERNEL duplication storm), and the scaled-up projections land near the
 published counts.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.experiments import table2
 
@@ -15,7 +15,7 @@ SCALE = 0.02
 
 
 def test_table2_log_description(benchmark, show):
-    table = run_once(benchmark, table2.run, scale=SCALE, seed=BENCH_SEED)
+    table = run_once(benchmark, table2.run, scale=SCALE, seed=SEED)
     rows = {r["log"]: r for r in table.rows}
 
     assert rows["ANL"]["weeks"] == 112

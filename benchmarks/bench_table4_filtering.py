@@ -7,7 +7,7 @@ made the authors stop at 300 s.
 """
 
 import pytest
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.experiments import table4
 
@@ -17,7 +17,7 @@ SCALE = 0.02
 @pytest.mark.parametrize("system", ["ANL", "SDSC"])
 def test_table4_filtering_sweep(benchmark, show, system):
     table, sweep = run_once(
-        benchmark, table4.run, system=system, scale=SCALE, seed=BENCH_SEED
+        benchmark, table4.run, system=system, scale=SCALE, seed=SEED
     )
 
     assert sweep.totals == sorted(sweep.totals, reverse=True)

@@ -7,7 +7,7 @@ cost is trivial (the paper: < 1 minute; here: milliseconds) and roughly
 independent of training size.
 """
 
-from conftest import BENCH_SEED, run_once
+from conftest import SEED, run_once
 
 from repro.experiments import table5
 
@@ -18,7 +18,7 @@ def test_table5_operation_overhead(benchmark, show):
         table5.run,
         system="SDSC",
         scale=1.0,
-        seed=BENCH_SEED,
+        seed=SEED,
         months=(3, 6, 12, 18, 24, 30),
         matching_weeks=4,
     )

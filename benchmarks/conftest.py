@@ -10,24 +10,16 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Every bench additionally routes through :mod:`repro.perf`: a teardown
-hook appends the run (wall-clock plus every numeric ``extra_info``
-scalar) to ``BENCH_<topic>.json`` at the repo root, topic = the module
-name minus its ``bench_`` prefix.  That file is the run-over-run perf
-trajectory gated by ``scripts/check_perf_regression.py``.  Point
-``REPRO_BENCH_DIR`` somewhere else to redirect the artifacts, or set it
-empty to disable recording.
+``--benchmark-json`` writes each run's wall-clock time together with
+the per-stage metrics :func:`run_once` attaches to it.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
 #: One shared seed so all figures describe the same pair of traces.
-BENCH_SEED = 2008
+SEED = 2008
 
 
 @pytest.fixture
@@ -66,43 +58,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     )
     benchmark.extra_info["metrics"] = registry.snapshot()
     return result
-
-
-def _bench_topic(item: pytest.Item) -> str:
-    stem = Path(str(item.fspath)).stem
-    return stem.removeprefix("bench_")
-
-
-def pytest_runtest_teardown(item: pytest.Item, nextitem) -> None:
-    """Append each bench run to its BENCH_<topic>.json trajectory."""
-    fixture = getattr(item, "funcargs", {}).get("benchmark")
-    if fixture is None:
-        return
-    out_dir = os.environ.get(
-        "REPRO_BENCH_DIR", str(Path(__file__).resolve().parent.parent)
-    )
-    if not out_dir:
-        return
-    try:
-        wall_seconds = fixture.stats.stats.mean
-    except AttributeError:
-        return  # benchmark never ran (skipped / collection error)
-
-    from repro.perf.harness import Metric, record_run
-
-    metrics = {"wall_seconds": Metric(wall_seconds, "s")}
-    for name, value in fixture.extra_info.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue  # the registry snapshot dict and other non-scalars
-        higher_is_better = "per_sec" in name or name.endswith("_rate")
-        metrics[name] = Metric(
-            float(value),
-            "value/s" if higher_is_better else "value",
-            higher_is_better,
-        )
-    record_run(
-        _bench_topic(item),
-        metrics,
-        params={"source": "pytest-benchmark", "test": item.name},
-        directory=out_dir,
-    )

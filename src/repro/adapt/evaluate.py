@@ -5,8 +5,8 @@ trace with one known regime change (:mod:`repro.raslog.scenarios`),
 stream the same clean log through two otherwise-identical sessions —
 one retraining every ``WR`` weeks, one on the
 :class:`~repro.adapt.policy.AdaptiveRetrainPolicy` — and compare what
-each paid (retraining count) for what it got (post-shift recall).  The
-``drift_adapt`` bench suite records the result; CI gates its ratios.
+each paid (retraining count) for what it got (post-shift recall).
+``tests/adapt/test_scenarios.py`` pins the result for both scenarios.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ The subcommands cover the operational lifecycle::
     repro recover     # crash-consistent restart: checkpoint + WAL replay
                       # (--fleet-dir recovers a whole sharded fleet)
     repro metrics     # stream a log and emit per-stage metrics as JSON
-    repro bench       # run perf suites, append BENCH_* trajectories
     repro experiment  # regenerate a paper table/figure
 
 All commands exchange logs in the LogHub BGL line format and rules in the
@@ -30,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -730,63 +728,6 @@ def _cmd_fleet_restart(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run perf suites and append each run to its BENCH_* trajectory.
-
-    See :mod:`repro.perf` for the artifact format and
-    ``scripts/check_perf_regression.py`` for the gate that consumes it.
-    """
-    from repro.perf import SUITES, run_suite
-
-    if args.list:
-        for name in sorted(SUITES):
-            print(name)
-        return 0
-    if args.scenario is not None:
-        # A scenario pins the regime-change trace of the drift suite;
-        # the other suites have no notion of one.
-        names = args.suite or ["drift_adapt"]
-    else:
-        names = args.suite or sorted(SUITES)
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        print(
-            f"unknown suite(s) {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scenario is not None and names != ["drift_adapt"]:
-        print(
-            "--scenario only applies to the drift_adapt suite",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scenario is not None:
-        from repro.raslog.scenarios import SCENARIOS
-
-        if args.scenario not in SCENARIOS:
-            print(
-                f"unknown scenario {args.scenario!r}; "
-                f"available: {', '.join(sorted(SCENARIOS))}",
-                file=sys.stderr,
-            )
-            return 2
-    for name in names:
-        started = time.perf_counter()
-        path, metrics = run_suite(
-            name,
-            smoke=args.smoke,
-            directory=args.out_dir,
-            scenario=args.scenario,
-        )
-        elapsed = time.perf_counter() - started
-        print(f"{name} ({elapsed:.1f}s) -> {path}")
-        for metric_name, metric in sorted(metrics.items()):
-            print(f"  {metric_name}: {metric.value:,.2f} {metric.unit}")
-    return 0
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro import experiments
 
@@ -1215,42 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--system", default="SDSC", choices=sorted(PROFILES))
     e.add_argument("--seed", type=int, default=2008)
     e.set_defaults(func=_cmd_experiment)
-
-    b = sub.add_parser(
-        "bench",
-        help="run perf suites, appending to BENCH_<topic>.json trajectories",
-    )
-    b.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="suite to run (repeatable; default: all). "
-        "Use --list to see available suites",
-    )
-    b.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-scale workloads (distinct params_digest, so smoke runs "
-        "are only ever gated against smoke baselines)",
-    )
-    b.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help="regime-change scenario for the drift_adapt suite "
-        "(reconfiguration, maintenance_window); implies --suite drift_adapt",
-    )
-    b.add_argument(
-        "--out-dir",
-        default=".",
-        metavar="DIR",
-        help="directory holding the BENCH_*.json trajectories (default: .)",
-    )
-    b.add_argument(
-        "--list", action="store_true", help="list available suites and exit"
-    )
-    b.set_defaults(func=_cmd_bench)
 
     return parser
 

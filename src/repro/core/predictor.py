@@ -33,16 +33,15 @@ so a rule with ``window < Wp`` over-counted and fired false warnings.)
 Since the monitoring set only retains ``Wp`` seconds of history, the
 effective counting window is ``min(rule.window, Wp)``.
 
-**Matching indices.**  With the default ``indexing="compiled"`` the
-F-List/E-List are precompiled into flat hash-joined per-code candidate
-lists: each event code maps directly to the association rules it can
-complete (with the *residual* antecedent precomputed) and matching
-checks an incrementally maintained occurrence count per code instead of
-rebuilding a set from the whole monitoring deque; count rules consult a
-per-code timestamp deque instead of scanning the full window.
-``indexing="scan"`` keeps the original per-event scans (same warnings,
-slower) so the speedup stays measurable on one harness
-(``repro bench --topic predictor_feed``).
+**Matching indices.**  The F-List/E-List are precompiled into flat
+hash-joined per-code candidate lists: each event code maps directly to
+the association rules it can complete (with the *residual* antecedent
+precomputed) and matching checks an incrementally maintained occurrence
+count per code instead of rebuilding a set from the whole monitoring
+deque; count rules consult a per-code timestamp deque instead of
+scanning the full window.  ``tests/core/test_predictor_windows.py``
+keeps Algorithm 2's direct scans as an oracle that must emit the same
+warnings.
 
 **Hot path.**  Each event pays only for the work it can trigger.
 :meth:`Predictor.feed` enters :meth:`Predictor.catch_up` only when the
@@ -92,12 +91,6 @@ from repro.raslog.store import EventLog
 #: paper's future-work list.
 ENSEMBLE_POLICIES = ("experts", "union", "weighted")
 
-#: Matching-index implementations: ``compiled`` (precompiled per-code
-#: candidate lists + incremental occurrence tracking, the default) and
-#: ``scan`` (the original per-event deque scans, kept so the benchmark
-#: harness can measure the index speedup on identical output).
-INDEXING_MODES = ("compiled", "scan")
-
 
 @dataclass
 class PredictorState:
@@ -128,17 +121,12 @@ class Predictor:
         dist_horizon_cap: float = 43200.0,
         rule_weights: "dict[RuleKey, float] | None" = None,
         weight_threshold: float = 0.5,
-        indexing: str = "compiled",
     ) -> None:
         if window <= 0:
             raise ValueError(f"prediction window must be positive, got {window}")
         if ensemble not in ENSEMBLE_POLICIES:
             raise ValueError(
                 f"ensemble must be one of {ENSEMBLE_POLICIES}, got {ensemble!r}"
-            )
-        if indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"indexing must be one of {INDEXING_MODES}, got {indexing!r}"
             )
         if dist_horizon_cap <= 0:
             raise ValueError(
@@ -195,10 +183,7 @@ class Predictor:
             for item in rule.antecedent:
                 self.e_list.setdefault(item, set()).add(rule.consequent)
 
-        self.indexing = indexing
-        self._compiled = indexing == "compiled"
-        if self._compiled:
-            self._compile_indices()
+        self._compile_indices()
 
         self.state = PredictorState()
         self._refractory_sweep_at = float("-inf")
@@ -216,9 +201,9 @@ class Predictor:
         """Flatten the F-List/E-List into per-code hash-join candidates.
 
         For every event code that can participate in an association rule,
-        precompute the rules it may complete — in exactly the order the
-        scan path visits them (consequents sorted, then F-List insertion
-        order) so both index modes emit identical warning sequences — and
+        precompute the rules it may complete — in Algorithm 2's order
+        (consequents sorted, then F-List insertion order), so warnings
+        come out as a direct scan of the lists would emit them — and
         pair each with its *residual* antecedent (the other items whose
         presence in the monitoring window must be checked).
         """
@@ -248,8 +233,6 @@ class Predictor:
         :meth:`observe` and :meth:`_prune` maintain them inline for each
         appended and expired event.
         """
-        if not self._compiled:
-            return
         #: per-code occurrence count inside the monitoring window
         self._acounts: dict[str, int] = {}
         #: per-count-rule-code timestamps inside the monitoring window
@@ -280,24 +263,20 @@ class Predictor:
         and, when the amortized sweep is due, stale refractory stamps."""
         horizon = now - self.window
         monitoring = self.state.monitoring
-        if self._compiled:
-            acount_codes, acounts, ctimes = (
-                self._acount_codes, self._acounts, self._ctimes
-            )
-            while monitoring and monitoring[0][0] < horizon:
-                _, code = monitoring.popleft()
-                if code in acount_codes:
-                    remaining = acounts[code] - 1
-                    if remaining:
-                        acounts[code] = remaining
-                    else:
-                        del acounts[code]
-                times = ctimes.get(code)
-                if times is not None:
-                    times.popleft()
-        else:
-            while monitoring and monitoring[0][0] < horizon:
-                monitoring.popleft()
+        acount_codes, acounts, ctimes = (
+            self._acount_codes, self._acounts, self._ctimes
+        )
+        while monitoring and monitoring[0][0] < horizon:
+            _, code = monitoring.popleft()
+            if code in acount_codes:
+                remaining = acounts[code] - 1
+                if remaining:
+                    acounts[code] = remaining
+                else:
+                    del acounts[code]
+            times = ctimes.get(code)
+            if times is not None:
+                times.popleft()
         fatals = self.state.recent_fatals
         while fatals and fatals[0] < horizon:
             fatals.popleft()
@@ -330,8 +309,6 @@ class Predictor:
 
     def _match_association(self, event: RASEvent) -> list[FailureWarning]:
         """Association expert; the event's code must be in the E-List."""
-        if not self._compiled:
-            return self._match_association_scan(event)
         candidates = self._assoc_candidates[event.entry_data]
         # Hash join: the triggering code keys straight into the rules it
         # can complete; the residual antecedent is checked against the
@@ -353,53 +330,24 @@ class Predictor:
                     warnings.append(w)
         return warnings
 
-    def _match_association_scan(self, event: RASEvent) -> list[FailureWarning]:
-        code = event.entry_data
-        possible = self.e_list[code]
-        recent_codes = {c for _, c in self.state.monitoring}
-        recent_codes.add(code)
-        warnings: list[FailureWarning] = []
-        for fatal_code in sorted(possible):
-            for rule in self.f_list[fatal_code]:
-                if code in rule.antecedent and rule.antecedent <= recent_codes:
-                    w = self._fire(
-                        event.timestamp, fatal_code, rule.key, "association"
-                    )
-                    if w is not None:
-                        warnings.append(w)
-        return warnings
-
     def _match_count(self, event: RASEvent) -> list[FailureWarning]:
         """Count expert; a count rule must watch the event's code."""
         code = event.entry_data
         candidates = self.count_rules[code]
         now = event.timestamp
+        times = self._ctimes[code]
         warnings: list[FailureWarning] = []
-        if self._compiled:
-            times = self._ctimes[code]
-            for rule in candidates:
-                cutoff = now - rule.window
-                occurrences = 1  # the triggering event
-                for t in reversed(times):
-                    if t < cutoff:
-                        break
-                    occurrences += 1
-                if occurrences >= rule.count:
-                    w = self._fire(now, rule.consequent, rule.key, "count")
-                    if w is not None:
-                        warnings.append(w)
-        else:
-            for rule in candidates:
-                cutoff = now - rule.window
-                occurrences = 1 + sum(
-                    1
-                    for t, c in self.state.monitoring
-                    if c == code and t >= cutoff
-                )
-                if occurrences >= rule.count:
-                    w = self._fire(now, rule.consequent, rule.key, "count")
-                    if w is not None:
-                        warnings.append(w)
+        for rule in candidates:
+            cutoff = now - rule.window
+            occurrences = 1  # the triggering event
+            for t in reversed(times):
+                if t < cutoff:
+                    break
+                occurrences += 1
+            if occurrences >= rule.count:
+                w = self._fire(now, rule.consequent, rule.key, "count")
+                if w is not None:
+                    warnings.append(w)
         return warnings
 
     def _match_statistical(self, event: RASEvent) -> list[FailureWarning]:
@@ -556,13 +504,12 @@ class Predictor:
                 warnings.extend(self._match_count(event))
 
         state.monitoring.append((now, code))
-        if self._compiled:
-            if code in self._acount_codes:
-                acounts = self._acounts
-                acounts[code] = acounts.get(code, 0) + 1
-            times = self._ctimes.get(code)
-            if times is not None:
-                times.append(now)
+        if code in self._acount_codes:
+            acounts = self._acounts
+            acounts[code] = acounts.get(code, 0) + 1
+        times = self._ctimes.get(code)
+        if times is not None:
+            times.append(now)
 
         # experts: the distribution expert is the fallback when the
         # others stayed silent; union/weighted: every expert speaks.

@@ -47,6 +47,7 @@ after ``repro recover`` — the lossless handoff the end-to-end test pins.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -63,6 +64,8 @@ from repro.service import (
     ShardDown,
     ShardSupervisor,
 )
+
+log = logging.getLogger(__name__)
 
 #: Default micro-batch bounds: flush at this many events...
 DEFAULT_BATCH_SIZE = 64
@@ -429,6 +432,11 @@ class PredictionServer:
                 await self._handle_fleet(conn, seq, frame)
         except ProtocolError as exc:
             await self._send_error(conn, seq, exc.code, str(exc))
+        except (ConnectionError, faults.FaultInjected):
+            raise  # the connection is gone, or chaos is dropping it
+        except Exception as exc:  # keep serving the connection
+            log.exception("%s frame (seq %s) failed", kind, seq)
+            await self._send_error(conn, seq, protocol.ERR_INTERNAL, str(exc))
 
     async def _send_error(
         self, conn: _Connection, seq: int | None, code: str, message: str

@@ -20,7 +20,8 @@ Two packs ship:
   occurring: association rules stop firing without any pattern change,
   the classic false-drift trap for hit-rate detectors.
 
-Run one from the CLI with ``repro bench --scenario <name>``.
+Compare both retraining policies on one with
+:func:`repro.adapt.evaluate.compare_on_scenario`.
 """
 
 from __future__ import annotations

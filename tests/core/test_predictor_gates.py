@@ -41,8 +41,6 @@ class UngatedPredictor(Predictor):
 
     def _rebuild_tracking(self) -> None:
         self._refractory_sweep_at = float("-inf")
-        if not self._compiled:
-            return
         self._acounts = {}
         self._ctimes = {c: deque() for c in self.count_rules}
         for t, code in self.state.monitoring:
@@ -87,8 +85,7 @@ class UngatedPredictor(Predictor):
                 state.last_fatal_time = t
                 state.dist_next_allowed = t
             state.monitoring.append((t, code))
-            if self._compiled:
-                self._track_append(t, code)
+            self._track_append(t, code)
         if now is not None:
             if now < state.clock:
                 raise ValueError("clock moved backwards")
@@ -119,8 +116,7 @@ class UngatedPredictor(Predictor):
             warnings.extend(self._match_association(event))
             warnings.extend(self._match_count(event))
         self.state.monitoring.append((now, code))
-        if self._compiled:
-            self._track_append(now, code)
+        self._track_append(now, code)
         if self.ensemble == "experts":
             if not warnings:
                 warnings.extend(self._check_distribution(now))
@@ -238,7 +234,7 @@ def streams(draw):
     return events
 
 
-def _pair(rules, ensemble, indexing, refractory):
+def _pair(rules, ensemble, refractory):
     weights = {r.key: (i % 3) / 2 for i, r in enumerate(rules)}
     kwargs = dict(
         window=WINDOW,
@@ -246,7 +242,6 @@ def _pair(rules, ensemble, indexing, refractory):
         ensemble=ensemble,
         refractory=refractory,
         rule_weights=weights,
-        indexing=indexing,
     )
     return Predictor(rules, **kwargs), UngatedPredictor(rules, **kwargs)
 
@@ -264,17 +259,15 @@ class TestGatesMatchUngated:
         streams(),
         st.sampled_from(["experts", "union", "weighted"]),
         st.sampled_from([None, 60.0]),
-        st.sampled_from(["compiled", "scan"]),
         st.sampled_from([None, 100.0, 900.0]),
         st.integers(0, 60),
         st.integers(0, 60),
         st.booleans(),
     )
     def test_same_warnings_and_state(
-        self, rules, events, ensemble, tick, indexing, refractory, primed,
-        cut, fresh,
+        self, rules, events, ensemble, tick, refractory, primed, cut, fresh,
     ):
-        gated, ungated = _pair(rules, ensemble, indexing, refractory)
+        gated, ungated = _pair(rules, ensemble, refractory)
         head, events = events[:primed], events[primed:]
         gated.prime(head)
         ungated.prime(head)
@@ -285,7 +278,7 @@ class TestGatesMatchUngated:
         # back into the ones that took it.
         snapshot = gated.state_snapshot()
         if fresh:
-            gated, ungated = _pair(rules, ensemble, indexing, refractory)
+            gated, ungated = _pair(rules, ensemble, refractory)
         gated.restore_state(snapshot)
         ungated.restore_state(snapshot)
         _feed_both(gated, ungated, events[cut:], tick)
@@ -305,7 +298,7 @@ class TestGatesMatchUngated:
             support=0.1,
             confidence=0.9,
         )
-        gated, ungated = _pair([rule], "experts", "compiled", 100.0)
+        gated, ungated = _pair([rule], "experts", 100.0)
         head = [make_event(0.0, NONFATAL[0]), make_event(50.0, NONFATAL[0])]
         _feed_both(gated, ungated, head, None)
         snapshot = gated.state_snapshot()

@@ -6,14 +6,17 @@ Regression tests for two families of behavior:
   matcher must threshold occurrences by ``now - t <= rule.window``, not
   by whatever happens to remain in the Wp-bounded deques (the old code
   counted the whole deque, firing rules whose burst was long over);
-* the compiled hash-joined matching indices are a pure speed knob —
-  warning-for-warning identical to the legacy ``"scan"`` matcher,
-  including across snapshot/restore.
+* the predictor's compiled hash-joined matching indices are invisible —
+  warning-for-warning identical to :class:`ScanPredictor`, which matches
+  by scanning the monitoring set as Algorithm 2 states it, including
+  across snapshot/restore.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.predictor import Predictor
 from repro.learners.rules import (
@@ -24,12 +27,54 @@ from repro.learners.rules import (
 )
 from repro.raslog.events import Severity
 from tests.conftest import make_event
+from tests.core.test_predictor_gates import CATALOG, rule_sets, streams
 
 FATAL = "KERNEL-F-000"
 FATAL2 = "KERNEL-F-001"
 W1, W2, W3 = "KERNEL-N-002", "KERNEL-N-003", "KERNEL-N-004"
 
-MODES = ("scan", "compiled")
+
+
+class ScanPredictor(Predictor):
+    """Reference matcher: Algorithm 2's per-event scans of the
+    monitoring set, in place of the compiled per-code indices."""
+
+    def _match_association(self, event):
+        code = event.entry_data
+        recent_codes = {c for _, c in self.state.monitoring}
+        recent_codes.add(code)
+        warnings = []
+        for fatal_code in sorted(self.e_list[code]):
+            for rule in self.f_list[fatal_code]:
+                if code in rule.antecedent and rule.antecedent <= recent_codes:
+                    w = self._fire(
+                        event.timestamp, fatal_code, rule.key, "association"
+                    )
+                    if w is not None:
+                        warnings.append(w)
+        return warnings
+
+    def _match_count(self, event):
+        code = event.entry_data
+        now = event.timestamp
+        warnings = []
+        for rule in self.count_rules[code]:
+            cutoff = now - rule.window
+            occurrences = 1 + sum(
+                1
+                for t, c in self.state.monitoring
+                if c == code and t >= cutoff
+            )
+            if occurrences >= rule.count:
+                w = self._fire(now, rule.consequent, rule.key, "count")
+                if w is not None:
+                    warnings.append(w)
+        return warnings
+
+
+MATCHERS = pytest.mark.parametrize(
+    "matcher", [ScanPredictor, Predictor], ids=["scan", "compiled"]
+)
 
 
 def assoc(antecedent, consequent=FATAL):
@@ -64,38 +109,29 @@ def warn_event(t, code=W1):
     return make_event(t, code, severity=Severity.WARNING)
 
 
-@pytest.mark.parametrize("indexing", MODES)
+@MATCHERS
 class TestCountRuleWindow:
     """A count rule's own window bounds its counting, not Wp."""
 
-    def test_spread_occurrences_do_not_fire(self, catalog, indexing):
+    def test_spread_occurrences_do_not_fire(self, catalog, matcher):
         # 3 occurrences inside Wp=300 but never 3 inside the rule's 60 s.
-        p = Predictor(
-            [count_rule(count=3, window=60.0)], 300.0, catalog,
-            indexing=indexing,
-        )
+        p = matcher([count_rule(count=3, window=60.0)], 300.0, catalog)
         warnings = []
         for t in (0.0, 100.0, 200.0):
             warnings += p.observe(warn_event(t))
         assert warnings == []
 
-    def test_burst_within_rule_window_fires(self, catalog, indexing):
-        p = Predictor(
-            [count_rule(count=3, window=60.0)], 300.0, catalog,
-            indexing=indexing,
-        )
+    def test_burst_within_rule_window_fires(self, catalog, matcher):
+        p = matcher([count_rule(count=3, window=60.0)], 300.0, catalog)
         warnings = []
         for t in (0.0, 20.0, 40.0):
             warnings += p.observe(warn_event(t))
         assert [w.predicted for w in warnings] == [FATAL]
         assert warnings[0].time == 40.0
 
-    def test_stale_head_then_fresh_burst(self, catalog, indexing):
+    def test_stale_head_then_fresh_burst(self, catalog, matcher):
         # An old occurrence still inside Wp must not pad the rule count.
-        p = Predictor(
-            [count_rule(count=3, window=60.0)], 300.0, catalog,
-            indexing=indexing,
-        )
+        p = matcher([count_rule(count=3, window=60.0)], 300.0, catalog)
         warnings = []
         for t in (0.0, 250.0, 270.0):
             warnings += p.observe(warn_event(t))
@@ -105,36 +141,31 @@ class TestCountRuleWindow:
         assert [w.predicted for w in warnings] == [FATAL]
 
 
-@pytest.mark.parametrize("indexing", MODES)
+@MATCHERS
 class TestStatisticalRuleWindow:
-    def test_spread_failures_do_not_fire(self, catalog, indexing):
+    def test_spread_failures_do_not_fire(self, catalog, matcher):
         # 2 fatals inside Wp=300 but 200 s apart: a k=2/60 s rule stays
         # silent (the old matcher counted the whole recent_fatals deque).
-        p = Predictor(
-            [stat(2, window=60.0)], 300.0, catalog, indexing=indexing
-        )
+        p = matcher([stat(2, window=60.0)], 300.0, catalog)
         warnings = []
         for t in (0.0, 200.0):
             warnings += p.observe(fatal_event(t))
         assert warnings == []
 
-    def test_burst_within_rule_window_fires(self, catalog, indexing):
-        p = Predictor(
-            [stat(2, window=60.0)], 300.0, catalog, indexing=indexing
-        )
+    def test_burst_within_rule_window_fires(self, catalog, matcher):
+        p = matcher([stat(2, window=60.0)], 300.0, catalog)
         warnings = []
         for t in (0.0, 30.0):
             warnings += p.observe(fatal_event(t))
         assert [w.predicted for w in warnings] == [ANY_FAILURE]
 
-    def test_most_specific_k_wins(self, catalog, indexing):
+    def test_most_specific_k_wins(self, catalog, matcher):
         # Both k=2/300s and k=3/60s hold: the larger satisfied k is the
         # expert that fires.
-        p = Predictor(
+        p = matcher(
             [stat(2, window=300.0), stat(3, window=60.0)],
             300.0,
             catalog,
-            indexing=indexing,
             refractory=0.0,
         )
         warnings = []
@@ -174,24 +205,39 @@ class TestScanCompiledEquivalence:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_identical_warning_stream(self, catalog, seed):
-        scan = Predictor(RULES, 300.0, catalog, indexing="scan")
-        compiled = Predictor(RULES, 300.0, catalog, indexing="compiled")
+        scan = ScanPredictor(RULES, 300.0, catalog)
+        compiled = Predictor(RULES, 300.0, catalog)
         for event in _random_stream(seed):
             assert compiled.observe(event) == scan.observe(event)
 
     def test_equivalence_across_snapshot_restore(self, catalog):
-        scan = Predictor(RULES, 300.0, catalog, indexing="scan")
-        compiled = Predictor(RULES, 300.0, catalog, indexing="compiled")
+        scan = ScanPredictor(RULES, 300.0, catalog)
+        compiled = Predictor(RULES, 300.0, catalog)
         stream = _random_stream(99)
         for event in stream[:200]:
             assert compiled.observe(event) == scan.observe(event)
         # Restore a fresh compiled predictor mid-stream: the derived
         # tracking (occurrence counts, per-code deques) must be rebuilt
         # from the snapshot, not lost.
-        resumed = Predictor(RULES, 300.0, catalog, indexing="compiled")
+        resumed = Predictor(RULES, 300.0, catalog)
         resumed.restore_state(compiled.state_snapshot())
         for event in stream[200:]:
             assert resumed.observe(event) == scan.observe(event)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rule_sets(),
+        streams(),
+        st.sampled_from(["experts", "union", "weighted"]),
+        st.sampled_from([None, 60.0]),
+    )
+    def test_random_rules_and_streams(self, rules, events, ensemble, tick):
+        kwargs = dict(window=300.0, catalog=CATALOG, ensemble=ensemble)
+        scan = ScanPredictor(rules, **kwargs)
+        compiled = Predictor(rules, **kwargs)
+        for event in events:
+            assert compiled.feed(event, tick) == scan.feed(event, tick)
+            assert compiled.state_snapshot() == scan.state_snapshot()
 
 
 class TestLastFiredBounded:

@@ -207,6 +207,34 @@ class TestProtocolEdges:
                 assert reply == {"type": "ack", "seq": 1}
         assert service.n_ingested == 1
 
+    def test_failing_handler_answers_internal_and_keeps_serving(
+        self, catalog, monkeypatch
+    ):
+        # A handler bug must cost its own frame an error/internal reply,
+        # not the connection: the ingest behind it is still acked.
+        async def broken(self, conn, seq):
+            raise RuntimeError("metrics exploded")
+
+        monkeypatch.setattr(PredictionServer, "_handle_metrics", broken)
+        service = make_service(catalog)
+        good = make_event(20.0, PRECURSOR_A).as_dict()
+        with serve_in_thread(service, batch_size=1) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as raw:
+                fh = raw.makefile("rb")
+                raw.sendall(
+                    encode_frame({"type": "metrics", "seq": 0})
+                    + encode_frame({"type": "ingest", "seq": 1, "event": good})
+                )
+                reply = decode_frame(fh.readline()[:-1])
+                assert reply["type"] == "error"
+                assert reply["code"] == protocol.ERR_INTERNAL
+                assert reply["seq"] == 0
+                reply = decode_frame(fh.readline()[:-1])
+                assert reply == {"type": "ack", "seq": 1}
+        assert service.n_ingested == 1
+
     def test_oversized_frame_answered_connection_survives(self, catalog):
         service = make_service(catalog)
         with serve_in_thread(service, max_frame_bytes=512) as server:

@@ -1,8 +1,8 @@
 """Batched journal appends: group commit, replay and ingest_batch.
 
 ``EventJournal.append_batch`` frames a whole batch into one ``os.write``
-and makes it durable with one group fsync — the throughput path measured
-by the ``journal_append`` bench suite.  These tests pin its contract:
+and makes it durable with one group fsync — the path each served
+micro-batch commits through.  These tests pin its contract:
 byte-compatible with per-record appends on replay, one fsync per batch
 under ``fsync="always"``, torn tails recovered exactly like single
 appends, and the ``ingest_batch`` plumbing through the session stack
