@@ -608,12 +608,19 @@ class Predictor:
         ``tick`` is the period of the deployment timer that services the
         time-triggered distribution expert between events; ``None``
         disables the timer (purely event-driven replay).
+
+        Each event takes the same step as :meth:`feed`, but off the
+        record: an offline replay (the reviser's scoring pass, an
+        evaluation) is not live traffic, so it records nothing in the
+        ``predictor.feed`` and ``predictor.warnings`` series.
         """
         if tick is not None and tick <= 0:
             raise ValueError(f"tick must be positive, got {tick}")
         warnings: list[FailureWarning] = []
         for event in log:
-            warnings.extend(self.feed(event, tick))
+            if tick is not None and self._timer_floor() < event.timestamp:
+                warnings.extend(self.catch_up(event.timestamp, tick))
+            warnings.extend(self.observe(event))
         return warnings
 
     @property

@@ -14,7 +14,8 @@ Implements the accounting behind the paper's metrics (Section 5.1):
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -75,6 +76,77 @@ def extract_failures(
     return fatal.timestamps, [e.entry_data for e in fatal]
 
 
+def _check_record(times: np.ndarray, fatal_codes: Sequence[str] | None) -> None:
+    if len(times) > 1 and np.any(np.diff(times) < 0):
+        raise ValueError("fatal_times must be sorted ascending")
+    if fatal_codes is not None and len(fatal_codes) != len(times):
+        raise ValueError(
+            f"fatal_codes length {len(fatal_codes)} != times length {len(times)}"
+        )
+
+
+def _rows_by_code(fatal_codes: Sequence[str]) -> dict[str, np.ndarray]:
+    """Fatal code -> the (ascending) rows of the failures of that code."""
+    rows: dict[str, list[int]] = {}
+    for j, code in enumerate(fatal_codes):
+        rows.setdefault(code, []).append(j)
+    return {code: np.array(r, dtype=np.intp) for code, r in rows.items()}
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_TIME = attrgetter("time")
+_DEADLINE = attrgetter("deadline")
+
+
+def _hits(
+    times: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which windows ``(start, end]`` hold one of the sorted ``times``, and
+    which times some window holds.
+
+    One ``searchsorted`` per side bounds every window's run of times;
+    a difference array over the runs of the hit windows gives coverage.
+    """
+    lo = np.searchsorted(times, starts, side="right")
+    hi = np.searchsorted(times, ends, side="right")
+    hit = hi > lo
+    n = len(times)
+    depth = np.cumsum(
+        np.bincount(lo[hit], minlength=n + 1)
+        - np.bincount(hi[hit], minlength=n + 1)
+    )
+    return hit, depth[:n] > 0
+
+
+def _match(
+    warnings: Sequence[FailureWarning],
+    times: np.ndarray,
+    rows_of: dict[str, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(matched, covered) flags of ``warnings`` against the failures at
+    ``times``.  ``rows_of`` (see :func:`_rows_by_code`) makes a typed
+    warning match only failures of its predicted type; ``None`` lets any
+    failure satisfy any warning."""
+    starts = np.fromiter(map(_TIME, warnings), np.float64, len(warnings))
+    ends = np.fromiter(map(_DEADLINE, warnings), np.float64, len(warnings))
+    if rows_of is None:
+        return _hits(times, starts, ends)
+    by_type: dict[str, list[int]] = {}
+    for i, w in enumerate(warnings):
+        by_type.setdefault(w.predicted, []).append(i)
+    matched = np.zeros(len(warnings), dtype=bool)
+    covered = np.zeros(len(times), dtype=bool)
+    for predicted, idx in by_type.items():
+        rows = (
+            slice(None) if predicted == ANY_FAILURE
+            else rows_of.get(predicted, _NO_ROWS)
+        )
+        hit, cov = _hits(times[rows], starts[idx], ends[idx])
+        matched[idx] = hit
+        covered[rows] |= cov
+    return matched, covered
+
+
 def match_warnings(
     warnings: Sequence[FailureWarning],
     fatal_times: np.ndarray,
@@ -87,32 +159,9 @@ def match_warnings(
     satisfies any warning.
     """
     times = np.asarray(fatal_times, dtype=np.float64)
-    if len(times) > 1 and np.any(np.diff(times) < 0):
-        raise ValueError("fatal_times must be sorted ascending")
-    if fatal_codes is not None and len(fatal_codes) != len(times):
-        raise ValueError(
-            f"fatal_codes length {len(fatal_codes)} != times length {len(times)}"
-        )
-
-    matched = np.zeros(len(warnings), dtype=bool)
-    covered = np.zeros(len(times), dtype=bool)
-
-    for i, w in enumerate(warnings):
-        lo = int(np.searchsorted(times, w.time, side="right"))
-        hi = int(np.searchsorted(times, w.deadline, side="right"))
-        if hi <= lo:
-            continue
-        if w.predicted == ANY_FAILURE or fatal_codes is None:
-            matched[i] = True
-            covered[lo:hi] = True
-        else:
-            hit = False
-            for j in range(lo, hi):
-                if fatal_codes[j] == w.predicted:
-                    covered[j] = True
-                    hit = True
-            matched[i] = hit
-
+    _check_record(times, fatal_codes)
+    rows_of = None if fatal_codes is None else _rows_by_code(fatal_codes)
+    matched, covered = _match(warnings, times, rows_of)
     return MatchResult(
         n_warnings=len(warnings),
         n_fatal=len(times),
@@ -168,29 +217,26 @@ def score_rules(
     type it predicts* (all failures, for ``ANY_FAILURE`` rules) that its
     own warnings did not cover.
     """
+    times = np.asarray(fatal_times, dtype=np.float64)
+    _check_record(times, fatal_codes)
+    rows_of = _rows_by_code(fatal_codes)
     by_rule: dict[tuple, list[FailureWarning]] = {}
     for w in warnings:
         by_rule.setdefault(w.rule_key, []).append(w)
 
-    times = np.asarray(fatal_times, dtype=np.float64)
-    codes = list(fatal_codes)
     scores: dict[tuple, RuleScore] = {}
     for key, group in by_rule.items():
-        result = match_warnings(group, times, codes)
+        matched, covered = _match(group, times, rows_of)
         predicted = group[0].predicted
         if predicted == ANY_FAILURE:
             n_target = len(times)
-            covered = result.covered_failures
+            n_covered = int(covered.sum())
         else:
-            target = np.fromiter(
-                (c == predicted for c in codes), dtype=bool, count=len(codes)
-            )
-            n_target = int(target.sum())
-            covered = int((result.covered & target).sum())
+            target = rows_of.get(predicted, _NO_ROWS)
+            n_target = len(target)
+            n_covered = int(covered[target].sum())
+        tp = int(matched.sum())
         scores[key] = RuleScore(
-            tp=result.true_positives,
-            fp=result.false_positives,
-            covered=covered,
-            fn=n_target - covered,
+            tp=tp, fp=len(group) - tp, covered=n_covered, fn=n_target - n_covered
         )
     return scores

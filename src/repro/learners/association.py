@@ -14,10 +14,8 @@ justification for mining permissively here.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.learners.apriori import apriori, association_rules_from
-from repro.learners.base import BaseLearner
+from repro.learners.base import BaseLearner, precursor_spans
 from repro.learners.rules import AssociationRule, Rule
 from repro.raslog.catalog import EventCatalog
 from repro.raslog.store import EventLog
@@ -58,18 +56,12 @@ class AssociationRuleLearner(BaseLearner):
         """
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        fatal = log.fatal(self.catalog)
-        nonfatal = log.nonfatal(self.catalog)
-        nf_times = nonfatal.timestamps
+        fatal, nonfatal = self.split_fatal(log)
+        codes = [e.entry_data for e in nonfatal]
         out: list[frozenset[str]] = []
-        for event in fatal:
-            lo = int(np.searchsorted(nf_times, event.timestamp - window, "left"))
-            hi = int(np.searchsorted(nf_times, event.timestamp, "left"))
-            if hi <= lo:
-                continue
-            items = {nonfatal[i].entry_data for i in range(lo, hi)}
-            items.add(event.entry_data)
-            out.append(frozenset(items))
+        for event, lo, hi in zip(fatal, *precursor_spans(fatal, nonfatal, window)):
+            if hi > lo:
+                out.append(frozenset((*codes[lo:hi], event.entry_data)))
         return out
 
     def train(self, log: EventLog, window: float) -> list[Rule]:
@@ -79,7 +71,7 @@ class AssociationRuleLearner(BaseLearner):
         itemsets = apriori(
             tx, self.min_support, max_len=self.max_antecedent + 1
         )
-        fatal_codes = {t.code for t in self.catalog.fatal_types()}
+        fatal_codes = self.catalog.fatal_codes
         raw = association_rules_from(itemsets, fatal_codes, self.min_confidence)
         rules: list[Rule] = []
         for antecedent, consequent, support, confidence in raw:

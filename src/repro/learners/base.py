@@ -11,9 +11,23 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.learners.rules import Rule
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.store import EventLog
+
+
+def precursor_spans(
+    fatal: EventLog, nonfatal: EventLog, window: float
+) -> tuple[list[int], list[int]]:
+    """Per fatal event at ``t``, the bounds ``(lo, hi)`` of the non-fatal
+    events inside ``[t - window, t)``, as two aligned lists."""
+    times = fatal.timestamps
+    nf_times = nonfatal.timestamps
+    lo = np.searchsorted(nf_times, times - window, "left")
+    hi = np.searchsorted(nf_times, times, "left")
+    return lo.tolist(), hi.tolist()
 
 
 class BaseLearner(abc.ABC):
@@ -36,17 +50,10 @@ class BaseLearner(abc.ABC):
 
     # -- shared helpers ---------------------------------------------------
 
-    def fatal_mask(self, log: EventLog) -> list[bool]:
-        """Catalog-level fatality per event of the log."""
-        catalog = self.catalog
-        return [
-            e.entry_data in catalog and catalog.is_fatal_code(e.entry_data)
-            for e in log
-        ]
-
     def split_fatal(self, log: EventLog) -> tuple[EventLog, EventLog]:
-        """(fatal, non-fatal) views of the log."""
-        return log.fatal(self.catalog), log.nonfatal(self.catalog)
+        """(fatal, non-fatal) views of the log, split by the catalog's
+        fatal codes in one pass."""
+        return log.split_fatal(self.catalog)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
-from repro.learners.base import BaseLearner
+from repro.learners.base import BaseLearner, precursor_spans
 from repro.learners.rules import CountRule, Rule
 from repro.raslog.catalog import EventCatalog
 from repro.raslog.store import EventLog
@@ -58,16 +56,12 @@ class CountThresholdLearner(BaseLearner):
         """Per fatal event: (fatal code, multiset of preceding non-fatals)."""
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        fatal = log.fatal(self.catalog)
-        nonfatal = log.nonfatal(self.catalog)
-        nf_times = nonfatal.timestamps
-        out: list[tuple[str, Counter]] = []
-        for event in fatal:
-            lo = int(np.searchsorted(nf_times, event.timestamp - window, "left"))
-            hi = int(np.searchsorted(nf_times, event.timestamp, "left"))
-            counts = Counter(nonfatal[i].entry_data for i in range(lo, hi))
-            out.append((event.entry_data, counts))
-        return out
+        fatal, nonfatal = self.split_fatal(log)
+        codes = [e.entry_data for e in nonfatal]
+        return [
+            (event.entry_data, Counter(codes[lo:hi]))
+            for event, lo, hi in zip(fatal, *precursor_spans(fatal, nonfatal, window))
+        ]
 
     def train(self, log: EventLog, window: float) -> list[Rule]:
         transactions = self.window_counts(log, window)

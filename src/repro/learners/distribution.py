@@ -57,7 +57,7 @@ class DistributionLearner(BaseLearner):
         complementary.  Falls back to the uncensored sample when censoring
         leaves too few gaps.
         """
-        fatal = log.fatal(self.catalog)
+        fatal, _ = self.split_fatal(log)
         gaps = fatal.interarrivals()
         gaps = gaps[gaps > 0.0]
         censored = gaps[gaps > censor_below] if censor_below > 0.0 else gaps

@@ -76,7 +76,7 @@ class StatisticalRuleLearner(BaseLearner):
         return stats
 
     def train(self, log: EventLog, window: float) -> list[Rule]:
-        fatal = log.fatal(self.catalog)
+        fatal, _ = self.split_fatal(log)
         stats = self.burst_statistics(fatal.timestamps, window)
         rules: list[Rule] = []
         for k, (n, followed) in sorted(stats.items()):

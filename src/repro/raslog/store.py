@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from typing import overload
 
@@ -33,6 +34,7 @@ from repro.utils.timeutil import WEEK_SECONDS
 Header = tuple[str, Facility, Severity]
 
 _HEADER = attrgetter("event_type", "facility", "severity")
+_ENTRY_DATA = attrgetter("entry_data")
 
 
 def encode(values: Iterable[Hashable], table: dict) -> np.ndarray:
@@ -99,7 +101,7 @@ class RowColumns:
             np.fromiter(map(attrgetter("record_id"), events), np.int64, n),
             np.fromiter(map(attrgetter("job_id"), events), np.int64, n),
             encode(map(_HEADER, events), headers),
-            encode(map(attrgetter("entry_data"), events), messages),
+            encode(map(_ENTRY_DATA, events), messages),
             encode(map(attrgetter("location"), events), locations),
             list(headers),
             list(messages),
@@ -391,17 +393,30 @@ class EventLog:
         """Events whose categorized code is catalog-fatal.
 
         Requires a categorized log (``entry_data`` holds catalog codes);
-        events with unknown codes are treated as non-fatal.
+        an event is fatal when its code is one of ``catalog.fatal_codes``,
+        so events with unknown codes are treated as non-fatal.
         """
-        return self.filter(
-            lambda e: e.entry_data in catalog and catalog.is_fatal_code(e.entry_data)
-        )
+        return self._where(self._fatal_flags(catalog))
 
     def nonfatal(self, catalog: EventCatalog) -> "EventLog":
-        return self.filter(
-            lambda e: not (
-                e.entry_data in catalog and catalog.is_fatal_code(e.entry_data)
-            )
+        return self._where([not f for f in self._fatal_flags(catalog)])
+
+    def split_fatal(self, catalog: EventCatalog) -> tuple["EventLog", "EventLog"]:
+        """``(fatal(catalog), nonfatal(catalog))`` from one pass over the
+        codes."""
+        flags = self._fatal_flags(catalog)
+        return self._where(flags), self._where([not f for f in flags])
+
+    def _fatal_flags(self, catalog: EventCatalog) -> list[bool]:
+        fatal = catalog.fatal_codes
+        return list(map(fatal.__contains__, map(_ENTRY_DATA, self.events)))
+
+    def _where(self, flags: list[bool]) -> "EventLog":
+        """The events whose flag is set, same origin."""
+        times = self._times[np.fromiter(flags, bool, len(flags))]
+        times.setflags(write=False)
+        return EventLog._from_parts(
+            tuple(compress(self.events, flags)), times, self._origin
         )
 
     # -- aggregation ------------------------------------------------------

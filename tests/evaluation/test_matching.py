@@ -13,6 +13,7 @@ from repro.evaluation.matching import (
 )
 from repro.learners.rules import ANY_FAILURE
 from repro.raslog.events import Severity
+from tests import oracles
 from tests.conftest import make_log
 
 
@@ -188,3 +189,90 @@ class TestProperties:
             if result.matched[i]:
                 inside = (times > w.time) & (times <= w.deadline)
                 assert result.covered[inside].all()
+
+
+#: Fatal types of the oracle inputs; "F9" is predicted but never fails.
+_CODES = ("F1", "F2", "F3")
+
+
+@st.composite
+def failure_records(draw):
+    """Sorted fatal times on an integer grid (ties and empty runs
+    included) with their codes."""
+    times = sorted(draw(st.lists(st.integers(0, 60), max_size=20)))
+    codes = [draw(st.sampled_from(_CODES)) for _ in times]
+    return np.array(times, dtype=np.float64), codes
+
+
+@st.composite
+def warning_streams(draw):
+    """Typed and ``ANY_FAILURE`` warnings on the same grid, so that warning
+    times and deadlines land on fatal times.  A rule key fixes the
+    prediction, as it does for a real rule."""
+    out = []
+    for _ in range(draw(st.integers(0, 30))):
+        predicted = draw(st.sampled_from((*_CODES, "F9", ANY_FAILURE)))
+        out.append(
+            warning(
+                float(draw(st.integers(0, 60))),
+                predicted=predicted,
+                window=float(draw(st.sampled_from((1, 2, 5, 10)))),
+                key=(predicted, draw(st.integers(0, 2))),
+            )
+        )
+    return out
+
+
+def _assert_same_match(got, want):
+    np.testing.assert_array_equal(got.matched, want.matched)
+    np.testing.assert_array_equal(got.covered, want.covered)
+    assert got.matched.dtype == want.matched.dtype == bool
+    assert got.covered.dtype == want.covered.dtype == bool
+    assert (got.n_warnings, got.n_fatal) == (want.n_warnings, want.n_fatal)
+
+
+class TestAgainstOracle:
+    """The vectorized matcher against the per-warning loops it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(warning_streams(), failure_records())
+    def test_match_warnings(self, warnings, record):
+        times, codes = record
+        _assert_same_match(
+            match_warnings(warnings, times, codes),
+            oracles.match_warnings(warnings, times, codes),
+        )
+        _assert_same_match(
+            match_warnings(warnings, times),
+            oracles.match_warnings(warnings, times),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(warning_streams(), failure_records())
+    def test_score_rules(self, warnings, record):
+        times, codes = record
+        got = score_rules(warnings, times, codes)
+        want = oracles.score_rules(warnings, times, codes)
+        assert list(got) == list(want)
+        assert got == want
+
+    def test_boundaries_and_no_failures(self):
+        times = np.array([10.0, 10.0, 20.0])
+        codes = ["F1", "F2", "F1"]
+        warnings = [
+            warning(10.0, "F1", window=10.0, key=("a",)),  # deadline on 20
+            warning(0.0, "F2", window=10.0, key=("b",)),  # deadline on 10
+            warning(10.0, ANY_FAILURE, window=5.0, key=("c",)),  # starts on 10
+            warning(5.0, "F9", window=20.0, key=("d",)),
+        ]
+        for t, c in ((times, codes), (times[:0], [])):
+            _assert_same_match(
+                match_warnings(warnings, t, c),
+                oracles.match_warnings(warnings, t, c),
+            )
+            assert score_rules(warnings, t, c) == oracles.score_rules(
+                warnings, t, c
+            )
+        result = match_warnings(warnings, times, codes)
+        assert result.matched.tolist() == [True, True, False, False]
+        assert result.covered.tolist() == [False, True, True]

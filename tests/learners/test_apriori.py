@@ -83,7 +83,8 @@ class TestAprioriBasics:
 def transaction_sets(draw):
     n_items = draw(st.integers(min_value=1, max_value=6))
     items = [f"i{k}" for k in range(n_items)]
-    n_tx = draw(st.integers(min_value=1, max_value=15))
+    # Past 64 transactions the masks span several machine words.
+    n_tx = draw(st.integers(min_value=1, max_value=200))
     return [
         frozenset(draw(st.sets(st.sampled_from(items), min_size=1, max_size=n_items)))
         for _ in range(n_tx)
@@ -104,6 +105,30 @@ class TestAgainstBruteForce:
         fast = apriori(tx, 0.1, max_len=max_len)
         slow = brute_force(tx, 0.1, max_len=max_len)
         assert fast.counts == slow
+
+    @settings(max_examples=40, deadline=None)
+    @given(transaction_sets(), st.data())
+    def test_min_support_on_an_itemset_count(self, tx, data):
+        counts = sorted(set(brute_force(tx, 1 / len(tx)).values()))
+        min_support = data.draw(st.sampled_from(counts)) / len(tx)
+        assert apriori(tx, min_support).counts == brute_force(tx, min_support)
+
+    def test_threshold_count_is_frequent_across_words(self):
+        # 128 transactions: min_support 0.25 is exactly 32 of them, and
+        # the pairs' transactions straddle the 64-bit word boundary.
+        tx = [{"x"} for _ in range(128)]
+        for i in range(50, 82):  # 32 transactions hold {a, b}
+            tx[i] = {"a", "b"}
+        for i in range(82, 113):  # 31 hold {a, c}
+            tx[i] = {"a", "c"}
+        tx[113] = {"a"}
+        tx[114] = {"c"}  # c alone is frequent: 32
+        result = apriori(tx, min_support=0.25)
+        assert result.counts[frozenset({"a", "b"})] == 32
+        assert result.counts[frozenset({"c"})] == 32
+        assert frozenset({"a", "c"}) not in result.counts
+        assert result.counts[frozenset({"a"})] == 64
+        assert result.counts == brute_force(tx, 0.25)
 
 
 class TestRuleGeneration:

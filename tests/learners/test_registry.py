@@ -76,17 +76,6 @@ class TestBaseLearnerHelpers:
         fatal, nonfatal = learner.split_fatal(log)
         assert len(fatal) == 1 and len(nonfatal) == 1
 
-    def test_fatal_mask(self, catalog, log_factory):
-        from repro.raslog.events import Severity
-
-        log = log_factory(
-            [
-                (1.0, "KERNEL-F-000", {"severity": Severity.FATAL}),
-                (2.0, "not-a-code", {}),
-            ]
-        )
-        assert _ToyLearner(catalog).fatal_mask(log) == [True, False]
-
     def test_repr(self, catalog):
         assert "toy" in repr(_ToyLearner(catalog))
 

@@ -119,6 +119,26 @@ class TestFiltering:
         assert len(nonfatal) == 2
         assert len(fatal) + len(nonfatal) == len(log)
 
+    def test_split_fatal_matches_fatal_and_nonfatal(self, catalog):
+        log = make_log(
+            [
+                (1.0, "KERNEL-F-000", {"severity": Severity.FATAL}),
+                (2.0, "not-a-code", {}),
+                (3.0, "KERNEL-N-000", {"severity": Severity.INFO}),
+                (4.0, "KERNEL-F-000", {"severity": Severity.FATAL}),
+            ],
+            origin=-5.0,
+        )
+        fatal, nonfatal = log.split_fatal(catalog)
+        for got, want in ((fatal, log.fatal(catalog)), (nonfatal, log.nonfatal(catalog))):
+            assert got.events == want.events
+            assert got.origin == log.origin
+            np.testing.assert_array_equal(got.timestamps, want.timestamps)
+            assert not got.timestamps.flags.writeable
+        # unknown codes count as non-fatal
+        assert [e.entry_data for e in nonfatal] == ["not-a-code", "KERNEL-N-000"]
+        assert fatal.timestamps.tolist() == [1.0, 4.0]
+
 
 class TestAggregation:
     def test_counts_by_facility(self):

@@ -377,3 +377,33 @@ class TestShardIsolation:
         assert service.session(LOCS[1]).core.last_time == 500.0
         assert service.session(victim).core.last_time == 100.0
         service.close()
+
+
+class TestLiveMetrics:
+    def test_offline_replays_record_no_live_feeds(self, catalog):
+        # The reviser scores its candidates by replaying the training
+        # log; that replay is not live traffic, so right after the
+        # initial training no event has been fed, and N live events later
+        # the series read N.
+        events = fleet_events(weeks=3)
+        boundary = 2 * WEEK_SECONDS
+        prefix = [e for e in events if e.timestamp < boundary]
+        live = [e for e in events if e.timestamp >= boundary]
+        with observe.use_registry(observe.MetricsRegistry()):
+            with PredictionService(
+                fast_config(), catalog=catalog, shards=2
+            ) as service:
+                service.ingest_batch(prefix)
+                service.advance(boundary)
+                assert all(
+                    service.session(key).retrains and service.session(key).repository
+                    for key in service.shard_keys
+                )
+                trained = service.merged_metrics()
+                assert "predictor.feed" not in trained
+                assert "predictor.warnings" not in trained
+                warned = service.ingest_batch(live)
+                fed = service.merged_metrics()
+        assert warned
+        assert fed["predictor.feed"]["count"] == len(live)
+        assert fed["predictor.warnings"]["value"] == len(warned)
