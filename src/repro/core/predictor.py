@@ -205,10 +205,12 @@ class Predictor:
         (consequents sorted, then F-List insertion order), so warnings
         come out as a direct scan of the lists would emit them — and
         pair each with its *residual* antecedent (the other items whose
-        presence in the monitoring window must be checked).
+        presence in the monitoring window must be checked).  Count rules
+        get the same treatment per watched code.  Each entry carries the
+        rule's key, so a completion does not rebuild it.
         """
         self._assoc_candidates: dict[
-            str, tuple[tuple[AssociationRule, tuple[str, ...]], ...]
+            str, tuple[tuple[str, RuleKey, tuple[str, ...]], ...]
         ] = {}
         for code, consequents in self.e_list.items():
             candidates = []
@@ -219,10 +221,19 @@ class Predictor:
                             item for item in sorted(rule.antecedent)
                             if item != code
                         )
-                        candidates.append((rule, others))
+                        candidates.append((rule.consequent, rule.key, others))
             self._assoc_candidates[code] = tuple(candidates)
         #: codes whose in-window occurrence count matters for hash joins
         self._acount_codes = frozenset(self.e_list)
+        self._count_candidates: dict[
+            str, tuple[tuple[float, int, str, RuleKey], ...]
+        ] = {
+            code: tuple(
+                (rule.window, rule.count, rule.consequent, rule.key)
+                for rule in rules
+            )
+            for code, rules in self.count_rules.items()
+        }
 
     def _rebuild_tracking(self) -> None:
         """(Re)derive incremental occurrence tracking from ``state``.
@@ -318,14 +329,12 @@ class Predictor:
         # encodes by construction.)
         counts = self._acounts
         warnings: list[FailureWarning] = []
-        for rule, others in candidates:
+        for consequent, key, others in candidates:
             for item in others:
                 if not counts.get(item):
                     break
             else:
-                w = self._fire(
-                    event.timestamp, rule.consequent, rule.key, "association"
-                )
+                w = self._fire(event.timestamp, consequent, key, "association")
                 if w is not None:
                     warnings.append(w)
         return warnings
@@ -333,19 +342,19 @@ class Predictor:
     def _match_count(self, event: RASEvent) -> list[FailureWarning]:
         """Count expert; a count rule must watch the event's code."""
         code = event.entry_data
-        candidates = self.count_rules[code]
+        candidates = self._count_candidates[code]
         now = event.timestamp
         times = self._ctimes[code]
         warnings: list[FailureWarning] = []
-        for rule in candidates:
-            cutoff = now - rule.window
+        for window, count, consequent, key in candidates:
+            cutoff = now - window
             occurrences = 1  # the triggering event
             for t in reversed(times):
                 if t < cutoff:
                     break
                 occurrences += 1
-            if occurrences >= rule.count:
-                w = self._fire(now, rule.consequent, rule.key, "count")
+            if occurrences >= count:
+                w = self._fire(now, consequent, key, "count")
                 if w is not None:
                     warnings.append(w)
         return warnings

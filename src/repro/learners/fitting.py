@@ -41,7 +41,7 @@ class FittedDistribution:
             mu, sigma = self.params
             safe = np.maximum(t, np.finfo(np.float64).tiny)
             z = (np.log(safe) - mu) / sigma
-            out = 0.5 * (1.0 + _erf_vec(z / math.sqrt(2.0)))
+            out = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
             out = np.where(t <= 0.0, 0.0, out)
         else:  # pragma: no cover - constructor-controlled
             raise ValueError(f"unknown distribution {self.name!r}")
@@ -63,20 +63,114 @@ class FittedDistribution:
         raise ValueError(f"unknown distribution {self.name!r}")  # pragma: no cover
 
 
-def _erf_vec(x: np.ndarray) -> np.ndarray:
-    # numpy has no erf; use scipy's if importable, else math.erf elementwise.
-    try:
-        from scipy.special import erf  # noqa: PLC0415
+def _erf(x: np.ndarray) -> np.ndarray:
+    # numpy has no erf; apply math.erf elementwise.
+    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
-        return erf(x)
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return np.vectorize(math.erf)(x)
+
+# Cephes ``ndtri`` (Moshier): the C original's coefficients, branch
+# points and Horner order, so every quantile is the same double that
+# the C routine returns (the tests pin this bitwise).
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+# exp(-2) < q < 1 - exp(-2); each _Q* leads with Cephes' implied 1.0
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0,
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+# z = sqrt(-2 ln q) in [2, 8): q between exp(-2) and exp(-32)
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0,
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+# z in [8, 64): q below exp(-32)
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0,
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule, highest power first.  A leading 1.0 gives Cephes'
+    ``p1evl`` exactly: its first step, ``1.0 * x + c``, is ``x + c``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
 
 
 def _norm_ppf(q: float) -> float:
-    from scipy.special import ndtri  # noqa: PLC0415
-
-    return float(ndtri(q))
+    """Standard normal quantile for ``0 < q < 1`` (Cephes ``ndtri``)."""
+    y = q
+    lower = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        lower = False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if lower else x
 
 
 def _validate_sample(data: np.ndarray) -> np.ndarray:

@@ -1,13 +1,22 @@
-"""Unit, recovery and property tests for the MLE distribution fits."""
+"""Unit, recovery and property tests for the MLE distribution fits.
+
+scipy is an oracle here only: the package computes its normal quantile
+and ``erf`` without it.
+"""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learners.fitting import (
     DISTRIBUTION_FAMILIES,
+    _erf,
+    _norm_ppf,
     fit_best,
     fit_exponential,
     fit_family,
@@ -98,6 +107,69 @@ class TestLognormal:
     def test_degenerate_sample(self):
         with pytest.raises(ValueError, match="zero variance"):
             fit_lognormal(np.full(50, 3.0))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestScipyOracle:
+    """The pure-Python normal quantile and erf against scipy.special."""
+
+    EXP_M2 = math.exp(-2.0)
+    EXP_M32 = math.exp(-32.0)
+
+    GRIDS = {
+        "interior": np.linspace(EXP_M2, 1.0 - EXP_M2, 20001),
+        "tail": np.geomspace(EXP_M32, EXP_M2, 20001),
+        "far_tail": np.geomspace(1e-300, EXP_M32, 20001),
+        "upper_tail": 1.0 - np.geomspace(1e-16, EXP_M2, 20001),
+        "points": np.array(
+            [
+                0.6,
+                0.75,
+                0.5,
+                EXP_M2,
+                np.nextafter(EXP_M2, 0.0),
+                np.nextafter(EXP_M2, 1.0),
+                1.0 - EXP_M2,
+                np.nextafter(1.0 - EXP_M2, 1.0),
+                EXP_M32,
+                np.nextafter(EXP_M32, 0.0),
+                np.nextafter(EXP_M32, 1.0),
+                5e-324,
+                np.nextafter(1.0, 0.0),
+            ]
+        ),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_norm_ppf_bitwise_equals_ndtri(self, grid):
+        qs = self.GRIDS[grid]
+        mine = [_norm_ppf(float(q)) for q in qs]
+        np.testing.assert_array_equal(_bits(mine), _bits(scipy.special.ndtri(qs)))
+
+    def test_erf_within_two_ulp(self):
+        x = np.random.default_rng(7).standard_normal(50000) * 3.0
+        ref = scipy.special.erf(x)
+        assert np.all(np.abs(_erf(x) - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_lognormal_cdf_within_two_ulp(self):
+        data = np.random.default_rng(11).lognormal(5.0, 1.7, 5000)
+        fit = fit_lognormal(data)
+        mu, sigma = fit.params
+        ts = np.sort(data)
+        z = (np.log(ts) - mu) / sigma
+        ref = 0.5 * (1.0 + scipy.special.erf(z / math.sqrt(2.0)))
+        # CDF values lie in [0, 1]: two ulp of 1.0 bounds the error.
+        assert np.max(np.abs(np.asarray(fit.cdf(ts)) - ref)) <= 2 * np.spacing(1.0)
+
+    def test_lognormal_ks_matches_scipy(self):
+        data = np.random.default_rng(13).lognormal(4.0, 1.2, 3000)
+        fit = fit_lognormal(data)
+        mu, sigma = fit.params
+        ref = scipy.stats.kstest(data, "lognorm", args=(sigma, 0.0, math.exp(mu)))
+        assert fit.ks_statistic == pytest.approx(ref.statistic, rel=1e-9)
 
 
 class TestModelSelection:
