@@ -9,7 +9,8 @@ per-shard labeled series sum to the fleet total.
 
 Wall-clock parity is the honest claim on one process: sharding here buys
 stream isolation and blast-radius containment, not parallel speedup (the
-shards share the executor, and matching is CPU-bound in-process).  The
+shards share one process and its interpreter lock, and matching is
+CPU-bound).  The
 per-shard timings in the attached metrics snapshot are what a deployment
 would use to size a real fleet.
 """

@@ -47,7 +47,6 @@ from repro.core.windows import dynamic_months, static_initial
 from repro.core.online import OnlinePredictionSession
 from repro.evaluation.matching import extract_failures, match_warnings
 from repro.evaluation.timeline import rolling_metrics
-from repro.parallel.executor import make_executor
 from repro.preprocess.pipeline import PreprocessingPipeline
 from repro.raslog.catalog import default_catalog
 from repro.raslog.generator import GeneratorConfig, generate_log
@@ -183,16 +182,10 @@ def _run_streaming(
         else None
     )
     try:
-        executor = make_executor(args.executor, args.workers)
         if recover:
             assert journal is not None
             session = OnlinePredictionSession.recover(
-                args.checkpoint,
-                journal,
-                config,
-                executor=executor,
-                origin=log.origin,
-                own_executor=True,
+                args.checkpoint, journal, config, origin=log.origin
             )
             skip = session.n_ingested
             print(
@@ -204,11 +197,7 @@ def _run_streaming(
             )
         elif args.resume:
             session = OnlinePredictionSession.resume(
-                args.resume,
-                config,
-                executor=executor,
-                own_executor=True,
-                journal=journal,
+                args.resume, config, journal=journal
             )
             skip = session.n_ingested
             print(
@@ -218,26 +207,21 @@ def _run_streaming(
             )
         else:
             session = OnlinePredictionSession(
-                config,
-                executor=executor,
-                origin=log.origin,
-                own_executor=True,
-                journal=journal,
+                config, origin=log.origin, journal=journal
             )
             skip = 0
         every = args.checkpoint_every
-        with session:
-            for i, event in enumerate(log):
-                if i < skip:
-                    continue
-                session.ingest(event)
-                if args.checkpoint and every and (i + 1 - skip) % every == 0:
-                    session.checkpoint(args.checkpoint)
-            session.flush()
-            if args.checkpoint:
+        for i, event in enumerate(log):
+            if i < skip:
+                continue
+            session.ingest(event)
+            if args.checkpoint and every and (i + 1 - skip) % every == 0:
                 session.checkpoint(args.checkpoint)
-            summary = session.summary()
-            drift = session.drift_status()
+        session.flush()
+        if args.checkpoint:
+            session.checkpoint(args.checkpoint)
+        summary = session.summary()
+        drift = session.drift_status()
     finally:
         if journal is not None:
             journal.close()
@@ -258,7 +242,6 @@ def _sharding_requested(args: argparse.Namespace) -> bool:
         getattr(args, "shard_by", None)
         or getattr(args, "shards", None)
         or getattr(args, "fleet_dir", None)
-        or getattr(args, "backend", None)
     )
 
 
@@ -303,16 +286,12 @@ def _run_service(
     """`repro run --shard-by ...`: stream through a sharded fleet."""
     log, report = _prepare_log(args.input, strict=args.strict)
     _print_parse_report(report)
-    executor = make_executor(args.executor, args.workers)
     if recover:
         service = PredictionService.recover(
             args.fleet_dir,
             config,
-            executor=executor,
-            own_executor=True,
             origin=log.origin,
             journal_fsync=args.journal_fsync,
-            backend=args.backend,
         )
         skipped = {k: service.session(k).n_ingested for k in service.shard_keys}
         print(
@@ -326,13 +305,10 @@ def _run_service(
             config,
             shard_by=args.shard_by or "location",
             shards=args.shards,
-            executor=executor,
-            own_executor=True,
             origin=log.origin,
             fleet_dir=args.fleet_dir,
             journal_fsync=args.journal_fsync,
             retain_journals=args.retain_journals,
-            backend=args.backend,
         )
         skipped = {}
     every = args.checkpoint_every
@@ -406,12 +382,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     log, report = _prepare_log(args.input, strict=args.strict)
     _print_parse_report(report)
     try:
-        with DynamicMetaLearningFramework(
-            config,
-            executor=make_executor(args.executor, args.workers),
-            own_executor=True,
-        ) as framework:
-            result = framework.run(log)
+        result = DynamicMetaLearningFramework(config).run(log)
     except NothingToEvaluate as err:
         print(
             f"error: {err} (the clean log spans {log.n_weeks} week(s); "
@@ -474,32 +445,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 config,
                 shard_by=args.shard_by or "location",
                 shards=args.shards,
-                executor=make_executor(args.executor, args.workers),
-                own_executor=True,
                 origin=log.origin,
-                backend=args.backend,
             ) as service:
                 for event in log:
                     service.ingest(event)
                 service.flush()
-                # Snapshot through the service so worker-process series
-                # (subprocess backend) are folded in; inproc this is
-                # just the registry's own snapshot.
-                snapshot = service.merged_metrics()
                 summary = service.summary()
             n_retrains = summary.n_retrains
         else:
-            with OnlinePredictionSession(
-                config,
-                executor=make_executor(args.executor, args.workers),
-                origin=log.origin,
-                own_executor=True,
-            ) as session:
-                for event in log:
-                    session.ingest(event)
-                summary = session.summary()
+            session = OnlinePredictionSession(config, origin=log.origin)
+            for event in log:
+                session.ingest(event)
+            summary = session.summary()
             n_retrains = len(summary.retrains)
-            snapshot = registry.snapshot()
+        snapshot = registry.snapshot()
     text = json.dumps(snapshot, indent=args.indent, sort_keys=True)
     if args.output:
         with open(args.output, "w") as fh:
@@ -532,17 +491,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.service import MANIFEST_NAME
 
     config = _framework_config(args)
-    executor = make_executor(args.executor, args.workers)
     fleet_dir = args.fleet_dir
     if fleet_dir and (Path(fleet_dir) / MANIFEST_NAME).exists():
         service = PredictionService.recover(
             fleet_dir,
             config,
-            executor=executor,
-            own_executor=True,
             origin=args.origin,
             journal_fsync=args.journal_fsync,
-            backend=args.backend,
         )
         print(
             f"recovered fleet from {fleet_dir}: "
@@ -555,13 +510,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config,
             shard_by=args.shard_by or "location",
             shards=args.shards,
-            executor=executor,
-            own_executor=True,
             origin=args.origin,
             fleet_dir=fleet_dir,
             journal_fsync=args.journal_fsync,
             retain_journals=args.retain_journals,
-            backend=args.backend,
         )
     server = PredictionServer(
         service,
@@ -607,8 +559,6 @@ def _print_shard_table(shards: dict) -> None:
     for key in sorted(shards):
         h = shards[key]
         line = f"  {key}: {h['state']}"
-        if h.get("pid") is not None:
-            line += f" pid={h['pid']}"
         if h.get("restarts"):
             line += f" restarts={h['restarts']}"
         if h.get("last_error"):
@@ -648,11 +598,6 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     print(
         f"fleet at {args.host}:{args.port}: epoch {status['epoch']}, "
         f"{len(status['shards'])} shard(s)"
-        + (
-            f", {status['backend']} backend"
-            if status.get("backend")
-            else ""
-        )
         + (f", migration in flight: {migration['kind']}" if migration else "")
         + (
             ", adaptive retraining"
@@ -783,10 +728,6 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--static", action="store_true")
     parser.add_argument("--no-reviser", action="store_true")
     parser.add_argument(
-        "--executor", default="serial", choices=("serial", "thread", "process")
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument(
         "--on-retrain-error",
         default="raise",
         choices=("raise", "degrade"),
@@ -876,15 +817,6 @@ def _add_sharding_options(
         metavar="N",
         help="hash-route locations into a fixed number of shards "
         "(crc32(location) %% N; implies sharding)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("inproc", "subprocess"),
-        help="shard placement: 'inproc' hosts every shard in this process "
-        "(default), 'subprocess' gives each shard a shared-nothing worker "
-        "process — true multi-core fleets at the cost of per-event IPC "
-        "(defaults to $REPRO_SERVICE_BACKEND, else inproc)",
     )
     if fleet:
         parser.add_argument(
@@ -1137,10 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(drift scores, trigger causes, skipped retrains) land in the "
         "emitted registry",
     )
-    m.add_argument(
-        "--executor", default="serial", choices=("serial", "thread", "process")
-    )
-    m.add_argument("--workers", type=int, default=None)
     m.add_argument("--indent", type=int, default=2)
     m.add_argument("--output", default=None)
     m.add_argument(
@@ -1173,7 +1101,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         or getattr(args, "journal", None)
     ):
         parser.error(
-            "sharding options (--shard-by/--shards/--fleet-dir/--backend) "
+            "sharding options (--shard-by/--shards/--fleet-dir) "
             "cannot be combined with single-session "
             "--checkpoint/--resume/--journal; fleet durability lives under "
             "--fleet-dir"

@@ -28,7 +28,6 @@ from repro.core.meta import MetaLearner
 from repro.core.predictor import Predictor
 from repro.core.reviser import Reviser
 from repro.evaluation.matching import extract_failures, match_warnings
-from repro.parallel.executor import Executor
 from repro.raslog.catalog import EventCatalog
 from repro.raslog.store import EventLog
 
@@ -141,10 +140,9 @@ class AdaptiveWindowFramework(DynamicMetaLearningFramework):
         self,
         config: FrameworkConfig | None = None,
         catalog: EventCatalog | None = None,
-        executor: Executor | None = None,
         tuner: AdaptiveWindowTuner | None = None,
     ) -> None:
-        super().__init__(config, catalog, executor)
+        super().__init__(config, catalog)
         self.tuner = tuner or AdaptiveWindowTuner(tick=self.config.tick)
         self.decisions: list[TuningDecision] = []
 

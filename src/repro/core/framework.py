@@ -27,7 +27,6 @@ from repro.core.tracking import ChurnHistory
 from repro.evaluation.matching import extract_failures, match_warnings
 from repro.evaluation.metrics import PrecisionRecall
 from repro.evaluation.timeline import WeeklyMetrics
-from repro.parallel.executor import Executor
 from repro.resilience.degrade import RetrainFailure
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.store import EventLog
@@ -74,22 +73,15 @@ class DynamicMetaLearningFramework:
         self,
         config: FrameworkConfig | None = None,
         catalog: EventCatalog | None = None,
-        executor: Executor | None = None,
-        own_executor: bool = False,
     ) -> None:
         self.config = config or FrameworkConfig()
         self.catalog = catalog or default_catalog()
-        self._executor = executor
-        self._own_executor = own_executor and executor is not None
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release the executor if this framework owns it (idempotent)."""
-        if self._own_executor:
-            self._own_executor = False
-            assert self._executor is not None
-            self._executor.close()
+        """A no-op: a framework holds no resources between runs.  Kept
+        with the ``with`` form for callers written against it."""
 
     def __enter__(self) -> "DynamicMetaLearningFramework":
         return self
@@ -127,7 +119,6 @@ class DynamicMetaLearningFramework:
         core = SessionCore(
             cfg if start_week is None else cfg.with_(initial_train_weeks=start),
             catalog=self.catalog,
-            executor=self._executor,
             origin=log.origin,
             window_tuner=self._window_tuner,
         )

@@ -9,9 +9,11 @@ probability distribution as fallback — is fixed by verification on the
 training data in the paper; here it is configurable (and exercised by the
 ensemble-ordering ablation bench).
 
-Base learners are independent, so training fans out through a
-:class:`repro.parallel.Executor` — the paper's observation that rule
-generation can run in parallel while the machine operates.
+Base learners are independent, and the paper (Section 5.2.4) notes that
+rule generation could run in parallel while the machine operates.  Here
+they train one after another on the calling thread: the learners hold
+the interpreter lock, so a thread pool measured no faster, and a process
+pool was several times slower on the paper-sized traces.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.core.knowledge import RuleRecord
 from repro.learners.base import BaseLearner
 from repro.learners.registry import DEFAULT_LEARNERS, create_learner
 from repro.learners.rules import Rule
-from repro.parallel.executor import Executor, ExecutorBroken, SerialExecutor
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.store import EventLog
 
@@ -38,8 +39,7 @@ class TrainingOutput:
     rules_by_learner: dict[str, list[Rule]] = field(default_factory=dict)
     #: wall-clock seconds of the whole round (all learners + combination)
     seconds: float = 0.0
-    #: wall-clock training seconds per base learner (measured in the
-    #: worker, so the numbers are meaningful under process pools too)
+    #: wall-clock training seconds per base learner
     learner_seconds: dict[str, float] = field(default_factory=dict)
 
     def records(self) -> list[RuleRecord]:
@@ -60,23 +60,6 @@ class TrainingOutput:
         return len({r.key for rules in self.rules_by_learner.values() for r in rules})
 
 
-class _TrainTask:
-    """Picklable (learner, log, window) -> (rules, seconds) closure.
-
-    Timing happens inside the call so that it is measured on the worker
-    (thread or process) that actually ran the learner.
-    """
-
-    def __init__(self, log: EventLog, window: float) -> None:
-        self.log = log
-        self.window = window
-
-    def __call__(self, learner: BaseLearner) -> tuple[list[Rule], float]:
-        t0 = time.perf_counter()
-        rules = learner.train(self.log, self.window)
-        return rules, time.perf_counter() - t0
-
-
 class MetaLearner:
     """Trains and combines the base predictive methods."""
 
@@ -84,13 +67,11 @@ class MetaLearner:
         self,
         learners: Sequence[BaseLearner | str] = DEFAULT_LEARNERS,
         catalog: EventCatalog | None = None,
-        executor: Executor | None = None,
         learner_params: dict[str, dict] | None = None,
     ) -> None:
         if not learners:
             raise ValueError("need at least one base learner")
         self.catalog = catalog or default_catalog()
-        self.executor = executor or SerialExecutor()
         params = learner_params or {}
         self.learners: list[BaseLearner] = []
         for item in learners:
@@ -109,26 +90,19 @@ class MetaLearner:
         return [lr.name for lr in self.learners]
 
     def train(self, log: EventLog, window: float, week: int = 0) -> TrainingOutput:
-        """Run every base learner on the training log (in parallel when the
-        executor supports it) and collect their candidate rules."""
+        """Run every base learner on the training log, in order, and
+        collect their candidate rules."""
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         plan = faults.active()
         if plan is not None:
             plan.on_train(week)
-        task = _TrainTask(log, window)
         with observe.span("meta.train") as sp:
-            try:
-                results = self.executor.map(task, self.learners)
-            except ExecutorBroken:
-                # Infrastructure died, not a learner: retrain serially so
-                # this round still completes, and stay serial — the old
-                # pool is closed and cannot be revived from here.
-                observe.counter("meta.train.serial_fallback").inc()
-                self.executor = SerialExecutor()
-                results = self.executor.map(task, self.learners)
             output = TrainingOutput(week=week)
-            for learner, (rules, seconds) in zip(self.learners, results):
+            for learner in self.learners:
+                t0 = time.perf_counter()
+                rules = learner.train(log, window)
+                seconds = time.perf_counter() - t0
                 output.rules_by_learner[learner.name] = list(rules)
                 output.learner_seconds[learner.name] = seconds
                 observe.histogram(f"meta.train.{learner.name}").observe(seconds)

@@ -54,7 +54,6 @@ from repro.core.session import (
     StreamSession,
 )
 from repro.core.tracking import ChurnHistory
-from repro.parallel.executor import Executor
 from repro.raslog.catalog import EventCatalog
 from repro.raslog.events import RASEvent
 from repro.resilience import checkpoint as ckpt
@@ -85,16 +84,10 @@ class OnlinePredictionSession:
         self,
         config: FrameworkConfig | None = None,
         catalog: EventCatalog | None = None,
-        executor: Executor | None = None,
         origin: float = 0.0,
-        own_executor: bool = False,
         journal: EventJournal | None = None,
     ) -> None:
-        self._executor = executor
-        self._own_executor = own_executor and executor is not None
-        self._core = SessionCore(
-            config, catalog=catalog, executor=executor, origin=origin
-        )
+        self._core = SessionCore(config, catalog=catalog, origin=origin)
         #: total events offered to :meth:`ingest` (incl. buffered/dropped)
         self.n_ingested = 0
 
@@ -186,11 +179,9 @@ class OnlinePredictionSession:
         return self._core.drift_status()
 
     def close(self) -> None:
-        """Release the executor if this session owns it (idempotent)."""
-        if self._own_executor:
-            self._own_executor = False
-            assert self._executor is not None
-            self._executor.close()
+        """A no-op: the session owns nothing to release (an attached
+        journal belongs to its opener).  Kept with the ``with`` form for
+        callers written against it."""
 
     def __enter__(self) -> "OnlinePredictionSession":
         return self
@@ -428,8 +419,6 @@ class OnlinePredictionSession:
         path: str | Path,
         config: FrameworkConfig | None = None,
         catalog: EventCatalog | None = None,
-        executor: Executor | None = None,
-        own_executor: bool = False,
         journal: EventJournal | None = None,
     ) -> "OnlinePredictionSession":
         """Rebuild a session from a :meth:`checkpoint` file.
@@ -455,13 +444,7 @@ class OnlinePredictionSession:
                 f"{path}: checkpoint was written under a different "
                 f"configuration (digest mismatch)"
             )
-        session = cls(
-            config,
-            catalog=catalog,
-            executor=executor,
-            origin=payload["origin"],
-            own_executor=own_executor,
-        )
+        session = cls(config, catalog=catalog, origin=payload["origin"])
         core = session._core
         core._last_time = payload["last_time"]
         session.n_ingested = payload["n_ingested"]
@@ -563,9 +546,7 @@ class OnlinePredictionSession:
         journal: EventJournal,
         config: FrameworkConfig | None = None,
         catalog: EventCatalog | None = None,
-        executor: Executor | None = None,
         origin: float = 0.0,
-        own_executor: bool = False,
     ) -> "OnlinePredictionSession":
         """Crash-consistent recovery: checkpoint (if any) + journal replay.
 
@@ -579,21 +560,7 @@ class OnlinePredictionSession:
         and will be re-delivered by the source.
         """
         if Path(path).exists():
-            return cls.resume(
-                path,
-                config,
-                catalog=catalog,
-                executor=executor,
-                own_executor=own_executor,
-                journal=journal,
-            )
-        session = cls(
-            config,
-            catalog=catalog,
-            executor=executor,
-            origin=origin,
-            own_executor=own_executor,
-            journal=journal,
-        )
+            return cls.resume(path, config, catalog=catalog, journal=journal)
+        session = cls(config, catalog=catalog, origin=origin, journal=journal)
         session._replay_journal(0)
         return session

@@ -24,10 +24,10 @@ replay driver feeding a log through it, so there is a single engine.
 
 The core itself performs no durable I/O: it owns no files, no journal,
 no checkpoint format.  (It *does* record process-local metrics through
-:mod:`repro.observe` and may train through an executor — neither touches
-disk.)  Checkpoint serialization lives with the
-``OnlinePredictionSession`` facade, which reads the core's state through
-:meth:`state`-style accessors rather than pickling it blind.
+:mod:`repro.observe`, which touches no disk.)  Checkpoint serialization
+lives with the ``OnlinePredictionSession`` facade, which reads the
+core's state through :meth:`state`-style accessors rather than pickling
+it blind.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.core.predictor import Predictor
 from repro.core.reviser import Reviser
 from repro.core.tracking import ChurnHistory, ChurnRecord, diff_rule_sets
 from repro.evaluation.matching import MatchResult, match_warnings
-from repro.parallel.executor import Executor
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.events import RASEvent
 from repro.raslog.store import EventLog
@@ -83,7 +82,7 @@ class RetrainEvent:
     churn: ChurnRecord
     generation_seconds: float
     revise_seconds: float
-    #: per-learner training seconds (measured on the executor's workers)
+    #: per-learner training seconds
     learner_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -131,7 +130,6 @@ class SessionCore:
         self,
         config: FrameworkConfig | None = None,
         catalog: EventCatalog | None = None,
-        executor: Executor | None = None,
         origin: float = 0.0,
         window_tuner: WindowTuner | None = None,
     ) -> None:
@@ -145,7 +143,6 @@ class SessionCore:
         self.meta = MetaLearner(
             learners=self.config.learners,
             catalog=self.catalog,
-            executor=executor,
             learner_params=self.config.learner_params,
         )
         self.reviser = Reviser(

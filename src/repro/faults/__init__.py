@@ -1,15 +1,15 @@
 """Deterministic fault injection for chaos testing.
 
 The resilience contracts of the online session — degraded-mode
-retraining, serial fallback on broken pools, late-event quarantine — are
+retraining, journal crash recovery, late-event quarantine — are
 only trustworthy if they are exercised, so this package provides a
 seedable :class:`FaultPlan` describing *when* the infrastructure should
 misbehave, plus pure helpers that corrupt log lines and jitter
 timestamps the way real collectors do.
 
 A plan is activated with :func:`install` (a context manager); hook
-points in :meth:`repro.core.meta.MetaLearner.train` and the pooled
-executors consult the active plan and raise on a match::
+points such as :meth:`repro.core.meta.MetaLearner.train` consult the
+active plan and raise on a match::
 
     plan = FaultPlan(learner_crashes=[LearnerCrash(week=28, attempts=1)])
     with faults.install(plan):
@@ -44,19 +44,12 @@ class LearnerCrash:
     ``attempts=10**9`` models a persistent one.  ``learner`` names the
     culprit in the raised message (provenance only — the crash surfaces
     from :meth:`MetaLearner.train` either way, exactly like a real
-    learner exception propagating out of the executor).
+    learner exception).
     """
 
     week: int
     attempts: int = 1
     learner: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class PoolBreak:
-    """Break the pooled executor's next ``times`` map calls."""
-
-    times: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,34 +86,6 @@ class ShardKill:
     durable and its source must re-deliver it.  The service marks the
     shard down (its journal is closed, later events for it raise
     ``ShardDown``) while every other shard keeps serving.
-    """
-
-    shard: str
-    at_count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.at_count < 1:
-            raise ValueError(
-                f"at_count must be a positive ordinal, got {self.at_count}"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerKill:
-    """SIGKILL a live shard **worker process** when its ``at_count``-th
-    event is routed to it.
-
-    Unlike :class:`ShardKill` — which raises in the service's routing
-    path, modelling a crash *while accepting* the event — a WorkerKill
-    kills the worker out from under the service: under the subprocess
-    backend the worker process is sent a real ``SIGKILL``, and the
-    service only finds out when delivering the event fails (the command
-    pipe goes dead), surfacing as ``ShardDown``.  This exercises the
-    crash-*detection* machinery end to end, not just the mark-down
-    bookkeeping.  Under the inproc backend there is no process to kill;
-    the handle is flagged dead and the next delivery fails the same way.
-    Either way the killed event was never durable and must be
-    re-delivered after ``restore_shard``.
     """
 
     shard: str
@@ -195,22 +160,18 @@ class FaultPlan:
     """
 
     learner_crashes: list[LearnerCrash] = field(default_factory=list)
-    pool_breaks: list[PoolBreak] = field(default_factory=list)
     journal_faults: list[JournalFault] = field(default_factory=list)
     shard_kills: list[ShardKill] = field(default_factory=list)
-    worker_kills: list[WorkerKill] = field(default_factory=list)
     connection_drops: list[ConnectionDrop] = field(default_factory=list)
     reshard_crashes: list[ReshardCrash] = field(default_factory=list)
 
     #: retrain attempts observed so far, per week
     train_attempts: dict[int, int] = field(default_factory=dict)
-    #: executor map calls broken so far
-    pool_breaks_done: int = 0
     #: faults actually raised, for test assertions
     injected: list[str] = field(default_factory=list)
 
     def on_train(self, week: int) -> None:
-        """Hook: called by ``MetaLearner.train`` before mapping learners."""
+        """Hook: called by ``MetaLearner.train`` before training learners."""
         attempt = self.train_attempts.get(week, 0) + 1
         self.train_attempts[week] = attempt
         for crash in self.learner_crashes:
@@ -221,24 +182,6 @@ class FaultPlan:
                 raise FaultInjected(
                     f"injected {who} crash at week {week} (attempt {attempt})"
                 )
-
-    def on_executor_map(self, executor: object) -> None:
-        """Hook: called by pooled executors before mapping tasks.
-
-        Raises ``BrokenProcessPool`` — the *real* exception type a dead
-        worker produces — so the executor's catch-and-retype path and the
-        meta-learner's serial fallback are exercised end to end.
-        """
-        budget = sum(b.times for b in self.pool_breaks)
-        if self.pool_breaks_done < budget:
-            self.pool_breaks_done += 1
-            self.injected.append(f"pool:{self.pool_breaks_done}")
-            from concurrent.futures.process import BrokenProcessPool
-
-            raise BrokenProcessPool(
-                f"injected pool break #{self.pool_breaks_done} "
-                f"on {type(executor).__name__}"
-            )
 
     def on_shard_event(self, shard: str, count: int) -> None:
         """Hook: called by ``PredictionService.ingest`` before delegating.
@@ -260,48 +203,6 @@ class FaultPlan:
             raise FaultInjected(
                 f"injected shard kill on {shard!r} at routed event {count}"
             )
-
-    def take_worker_kill(self, shard: str, count: int) -> bool:
-        """Hook: called by the service after :meth:`on_shard_event`.
-
-        Returns True exactly once per matching :class:`WorkerKill` —
-        the service then hard-kills the shard's worker and lets the
-        doomed delivery trip crash detection.  Re-delivery after
-        recovery sees a higher ordinal and the ``injected`` guard.
-        """
-        for kill in self.worker_kills:
-            record = f"worker:{shard}:{kill.at_count}"
-            if (
-                kill.shard != shard
-                or count != kill.at_count
-                or record in self.injected
-            ):
-                continue
-            self.injected.append(record)
-            return True
-        return False
-
-    def worker_plan(self) -> "FaultPlan | None":
-        """The session-level slice of this plan, for a shard worker.
-
-        Under the subprocess backend the shard's session stack runs in
-        another process, so faults that fire *inside* the stack —
-        learner crashes, pool breaks, journal faults — must be installed
-        there.  Service-level faults (shard/worker kills, reshard
-        crashes, connection drops) keep firing in the parent, which owns
-        routing.  Returns None when there is nothing to ship.  The
-        worker's ``injected`` records are piggybacked on command replies
-        and appended to the parent plan, so test assertions see them.
-        """
-        if not (
-            self.learner_crashes or self.pool_breaks or self.journal_faults
-        ):
-            return None
-        return FaultPlan(
-            learner_crashes=list(self.learner_crashes),
-            pool_breaks=list(self.pool_breaks),
-            journal_faults=list(self.journal_faults),
-        )
 
     def on_reshard_step(self, step: str) -> None:
         """Hook: called by the resharding engine after each handoff step.
@@ -391,32 +292,16 @@ def install(plan: FaultPlan) -> Iterator[FaultPlan]:
             _active = None
 
 
-def reset(plan: FaultPlan | None = None) -> None:
-    """Unconditionally (re)set the active plan — worker processes only.
-
-    A forked shard worker inherits the parent's installed plan; the
-    worker entry point calls this to drop it (or replace it with the
-    :meth:`FaultPlan.worker_plan` slice shipped in its spec) so parent-
-    side faults never double-fire inside the worker.
-    """
-    global _active
-    with _lock:
-        _active = plan
-
-
 __all__ = [
     "ConnectionDrop",
     "FaultInjected",
     "FaultPlan",
     "JournalFault",
     "LearnerCrash",
-    "PoolBreak",
     "ReshardCrash",
     "ShardKill",
-    "WorkerKill",
     "active",
     "corrupt_lines",
     "install",
     "jitter_timestamps",
-    "reset",
 ]

@@ -642,17 +642,11 @@ class PredictionServer:
         )
 
     async def _handle_metrics(self, conn: _Connection, seq: int) -> None:
-        # merged_metrics() folds worker-process series into the parent
-        # registry's view; inproc it degrades to a plain snapshot.
         snapshot = await self._run_engine(self.service.merged_metrics)
         await conn.send({"type": "metrics", "seq": seq, "metrics": snapshot})
 
     def _shard_status(self) -> dict[str, dict[str, Any]]:
-        """Per-shard up/down/quarantined view, supervisor-enriched.
-
-        Every entry carries the shard's worker ``pid`` (None inproc) so
-        operators can correlate a shard with its OS process."""
-        pids = self.service.shard_pids()
+        """Per-shard up/down/quarantined view, supervisor-enriched."""
         if self.supervisor is not None:
             return {
                 key: {
@@ -660,7 +654,6 @@ class PredictionServer:
                     "restarts": health.restarts,
                     "last_restart": health.last_restart,
                     "last_error": health.last_error,
-                    "pid": pids.get(key),
                 }
                 for key, health in self.supervisor.status().items()
             }
@@ -671,7 +664,6 @@ class PredictionServer:
                 "restarts": 0,
                 "last_restart": None,
                 "last_error": None,
-                "pid": pids.get(key),
             }
             for key in self.service.shard_keys
         }
@@ -682,7 +674,6 @@ class PredictionServer:
             "type": "health",
             "seq": seq,
             "status": "draining" if self.draining else "ok",
-            "backend": self.service.backend.name,
             "shards": len(self.service.shard_keys),
             "down_shards": sorted(self.service.down_shards),
             "shard_status": self._shard_status(),
@@ -719,8 +710,7 @@ class PredictionServer:
                 "seq": seq,
                 "epoch": self.service.epoch,
                 "migration": self.service.migration,
-                "backend": self.service.backend.name,
-                "shards": self._shard_status(),
+                    "shards": self._shard_status(),
                 "retrain_trigger": self.service.config.retrain_trigger,
             }
             if self.service.adaptive:

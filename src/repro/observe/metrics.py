@@ -1,21 +1,14 @@
 """Instrument types: counters, gauges and streaming histograms.
 
-Each instrument is thread-safe (the executors may train learners on
-worker threads) and snapshots to a plain-JSON dict.  The histogram keeps
-exact count/sum/min/max plus a fixed-size uniform reservoir so
-p50/p95/p99 stay O(1) memory over unbounded streams.  The reservoir is
+Each instrument is thread-safe (the TCP server reads metrics off the
+engine thread that records them) and snapshots to a plain-JSON dict.
+The histogram keeps exact count/sum/min/max plus a fixed-size uniform
+reservoir so p50/p95/p99 stay O(1) memory over unbounded streams.  The reservoir is
 sampled by skipping (Li's Algorithm L): once it is full, the RNG is
 drawn only when an observation replaces a sample — about
 ``k * ln(n / k)`` times over ``n`` observations — not once per
 observation.  The RNG is seeded from the instrument name, keeping
 snapshots reproducible run-to-run for deterministic workloads.
-
-Instruments are **mergeable**: :meth:`dump` exports an instrument's full
-state (for a histogram, including its reservoir) and :meth:`merge` folds
-such a dump into a live instrument — counters sum, gauges last-write,
-histograms combine exact count/sum/min/max and resample the union of the
-two reservoirs.  This is how per-shard worker processes report metrics
-back to the parent registry under the subprocess service backend.
 """
 
 from __future__ import annotations
@@ -51,13 +44,6 @@ class Counter:
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self._value}
 
-    def dump(self) -> dict:
-        """Full mergeable state (same shape as :meth:`snapshot`)."""
-        return self.snapshot()
-
-    def merge(self, state: dict) -> None:
-        """Fold another counter's dump into this one: counts sum."""
-        self.inc(state["value"])
 
 
 class Gauge:
@@ -85,14 +71,6 @@ class Gauge:
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self._value}
 
-    def dump(self) -> dict:
-        """Full mergeable state (same shape as :meth:`snapshot`)."""
-        return self.snapshot()
-
-    def merge(self, state: dict) -> None:
-        """Fold another gauge's dump into this one: last write wins —
-        the dump being merged is the more recent observation."""
-        self.set(state["value"])
 
 
 class Histogram:
@@ -192,7 +170,7 @@ class Histogram:
         with self._lock:
             # min/max must be copied under the same lock as count/sum and
             # the reservoir: reading them after release races a concurrent
-            # observe() from an executor worker and can tear the snapshot
+            # observe() on the engine thread and can tear the snapshot
             # (e.g. min > p50).
             count, total = self._count, self._sum
             low, high = self._min, self._max
@@ -219,69 +197,3 @@ class Histogram:
             # measured time, i.e. sustained throughput of the stage.
             out["per_second"] = count / total
         return out
-
-    def dump(self) -> dict:
-        """Full mergeable state: exact aggregates plus the reservoir."""
-        with self._lock:
-            state = {
-                "type": "histogram",
-                "count": self._count,
-                "sum": self._sum,
-                "reservoir": list(self._reservoir),
-                "capacity": self._capacity,
-            }
-            if self._count:
-                state["min"] = self._min
-                state["max"] = self._max
-        return state
-
-    def merge(self, state: dict) -> None:
-        """Fold another histogram's dump into this one.
-
-        count/sum/min/max merge exactly.  The reservoirs are combined by
-        weighted resampling (Efraimidis–Spirakis A-Res): each retained
-        sample represents ``population / len(reservoir)`` original
-        observations, so drawing ``capacity`` items with those weights
-        keeps the merged reservoir an (approximately) uniform sample of
-        the union stream.  Deterministic given this instrument's seeded
-        RNG.
-        """
-        other_count = state["count"]
-        if not other_count:
-            return
-        sample = [float(v) for v in state["reservoir"]]
-        with self._lock:
-            prior_count = self._count
-            self._count += other_count
-            self._sum += state["sum"]
-            if state["min"] < self._min:
-                self._min = state["min"]
-            if state["max"] > self._max:
-                self._max = state["max"]
-            if not self._reservoir:
-                merged = sample
-            elif len(self._reservoir) + len(sample) <= self._capacity:
-                merged = self._reservoir + sample
-            else:
-                w_self = prior_count / len(self._reservoir)
-                w_other = other_count / len(sample)
-                pool = [(w_self, v) for v in self._reservoir]
-                pool += [(w_other, v) for v in sample]
-                keyed = sorted(
-                    ((self._rng.random() ** (1.0 / w), v) for w, v in pool),
-                    reverse=True,
-                )
-                merged = [v for _, v in keyed[: self._capacity]]
-            if len(merged) > self._capacity:
-                merged = [
-                    merged[i]
-                    for i in sorted(
-                        self._rng.sample(range(len(merged)), self._capacity)
-                    )
-                ]
-            self._reservoir = merged
-            # The count moved, so any skip drawn before is stale.
-            if len(merged) == self._capacity:
-                self._rearm()
-            else:
-                self._next = 0

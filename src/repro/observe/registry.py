@@ -172,55 +172,6 @@ class MetricsRegistry:
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def dump(self) -> list[dict]:
-        """Every series' full mergeable state, in deterministic order.
-
-        Unlike :meth:`snapshot`, entries carry the *base* name and label
-        mapping separately (so a merge can re-key them) and histograms
-        include their reservoirs.  This is the payload shard worker
-        processes ship to the parent under the subprocess backend.
-        """
-        return [
-            {"name": base, "labels": dict(labels), **inst.dump()}
-            for (base, labels), inst in self._sorted_items()
-        ]
-
-    def merge(self, dump: list[dict]) -> None:
-        """Fold a :meth:`dump` from another registry into this one.
-
-        Series are matched by (base name, label set) — a worker's
-        ``service.events{shard="R01"}`` lands on the parent's series of
-        exactly that name — and merged per instrument type: counters
-        sum, gauges last-write, histograms combine count/sum/min/max and
-        resample the reservoir union.  Series this registry has never
-        seen are created.
-        """
-        classes = {
-            "counter": Counter,
-            "gauge": Gauge,
-            "histogram": Histogram,
-        }
-        for entry in dump:
-            cls = classes.get(entry.get("type"))
-            if cls is None:
-                raise ValueError(
-                    f"cannot merge metric entry of type "
-                    f"{entry.get('type')!r}"
-                )
-            inst = self._get_or_create(
-                entry["name"], cls, entry.get("labels", {})
-            )
-            inst.merge(entry)
-
-    def merged_snapshot(self, dumps: list[list[dict]]) -> dict[str, dict]:
-        """A :meth:`snapshot`-shaped view of this registry with every
-        dump in ``dumps`` folded in, without mutating this registry."""
-        view = MetricsRegistry()
-        view.merge(self.dump())
-        for dump in dumps:
-            view.merge(dump)
-        return view.snapshot()
-
     def reset(self) -> None:
         """Drop every instrument (a fresh, empty namespace)."""
         with self._lock:

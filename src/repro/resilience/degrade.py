@@ -1,7 +1,7 @@
 """Degraded-mode bookkeeping for failed retrainings.
 
 A long-lived monitor cannot afford to die because one retraining round
-crashed (a learner bug, a broken worker pool, a reviser error).  With
+crashed (a learner bug, a reviser error).  With
 ``FrameworkConfig.on_retrain_error="degrade"`` the session keeps
 predicting with the previous rule set, records a :class:`RetrainFailure`
 and retries with capped exponential backoff.  This module holds the

@@ -2,12 +2,10 @@
 
 N independent prediction streams behind one router.  The service routes
 each RAS event to a shard by a partition key
-(:mod:`repro.service.partition`), places each shard through a pluggable
-:class:`~repro.service.backends.ShardBackend` — in-process session
-stacks over a shared executor pool by default, or one shared-nothing
-worker process per shard (``backend="subprocess"``) for true multi-core
-fleets — and owns a fleet-level checkpoint/journal directory so the
-whole fleet recovers crash-consistently (:mod:`repro.service.service`)::
+(:mod:`repro.service.partition`), runs each shard as an in-process
+session stack (:class:`~repro.service.backends.ShardHandle`), and owns a
+fleet-level checkpoint/journal directory so the whole fleet recovers
+crash-consistently (:mod:`repro.service.service`)::
 
     from repro.service import PredictionService
 
@@ -20,13 +18,7 @@ whole fleet recovers crash-consistently (:mod:`repro.service.service`)::
     service = PredictionService.recover("fleet")
 """
 
-from repro.service.backends import (
-    InprocBackend,
-    ShardBackend,
-    ShardHandle,
-    SubprocessBackend,
-    make_backend,
-)
+from repro.service.backends import ShardHandle
 from repro.service.partition import (
     FleetRouter,
     HashRouter,
@@ -48,19 +40,15 @@ __all__ = [
     "FleetRouter",
     "FleetSummary",
     "HashRouter",
-    "InprocBackend",
     "LocationRouter",
     "PredictionService",
     "ReshardError",
     "Router",
     "RoutingRule",
-    "ShardBackend",
     "ShardDown",
     "ShardHandle",
     "ShardHealth",
     "ShardSupervisor",
-    "SubprocessBackend",
-    "make_backend",
     "make_router",
     "router_from_spec",
 ]

@@ -1,245 +1,33 @@
-"""Shard backends: who owns a shard's session stack, and where it runs.
+"""Shard handles: one shard's session stack as the service drives it.
 
 :class:`~repro.service.service.PredictionService` routes events; a
-**backend** decides what a shard *is*.  Every layer above — routing,
-batch commit, checkpointing, supervision, resharding, serving — talks to
-shards exclusively through :class:`ShardHandle`, so the fleet's topology
-is a deployment choice, not an architectural one:
-
-* :class:`InprocBackend` (default) — today's behavior, exactly: one
-  :class:`~repro.core.online.OnlinePredictionSession` stack per shard in
-  the service's own process, sharing the service executor.  Zero IPC
-  cost; the GIL caps multi-shard throughput.
-* :class:`SubprocessBackend` — one shared-nothing **worker process** per
-  shard.  The worker owns its ``SessionCore`` plus journal/checkpoint
-  wrappers and is driven over a length-prefixed pipe command channel
-  (``ingest_batch``/``advance``/``flush``/``checkpoint``/
-  ``drift_status``/``snapshot_metrics``/``seal`` — see
-  :mod:`repro.service.worker`).  N shards then retrain and preprocess on
-  N cores.  A worker death is detected at the next command (the pipe
-  goes dead) and surfaces as the existing
-  :class:`~repro.service.service.ShardDown`; restore is a process
-  respawn that recovers from the shard's checkpoint + journal.
-
-Handles expose a uniform surface: streaming (``ingest``/``ingest_batch``
-/``advance``/``flush``), reads (``warnings``/``summary``/``retrains``/
-``n_ingested``/``drift_status``), durability (``checkpoint``/``seal``)
-and lifecycle (``kill``/``close``), plus ``pid`` for the control plane.
-``handle.session`` is the read-only session view: the real session
-object inproc, an RPC-backed :class:`WorkerSessionProxy` under the
-subprocess backend — so test suites written against
-``service.session(key)`` run unchanged under both.
-
-Select a backend with ``PredictionService(..., backend="subprocess")``,
-the ``--backend`` CLI flag, or the ``REPRO_SERVICE_BACKEND`` environment
-variable (which the chaos CI job uses to re-run the kill suites under
-both backends).
+:class:`ShardHandle` is what an event is routed *to*: one
+:class:`~repro.core.online.OnlinePredictionSession` stack (reordering,
+journal) in the service's own process, plus the
+:class:`~repro.observe.wrappers.MeteredSession` that records its
+``service.*{shard="..."}`` series.  Routing, batch commit,
+checkpointing, supervision and resharding stream through the handle and
+read through ``handle.session``.
 """
 
 from __future__ import annotations
 
-import abc
-import multiprocessing
-import os
-import threading
-import weakref
-from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, Any
-
-from repro import faults, observe
 from repro.alerts import FailureWarning
 from repro.core.online import OnlinePredictionSession
-from repro.core.session import SessionSummary
 from repro.observe.wrappers import MeteredSession
 from repro.raslog.events import RASEvent
-from repro.resilience.journal import EventJournal, parse_fsync_policy
-
-if TYPE_CHECKING:
-    from repro.service.service import PredictionService
-
-#: env var consulted when no backend is passed explicitly
-BACKEND_ENV = "REPRO_SERVICE_BACKEND"
-#: env var forcing a multiprocessing start method for worker processes
-START_METHOD_ENV = "REPRO_MP_START_METHOD"
+from repro.resilience.journal import parse_fsync_policy
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_DIRNAME = "journal"
 
 
-class WorkerCrashed(RuntimeError):
-    """A shard's worker process died (or was killed) mid-conversation.
+class ShardHandle:
+    """One shard: a session stack and its metering, in this process.
 
-    Internal to the service layer: the streaming surface catches this,
-    marks the shard down, and re-raises as the public ``ShardDown``.
+    ``metered=False`` builds an unmetered shard (resharding's rebuild
+    replay); :meth:`finalize_build` arms the meters.
     """
-
-    def __init__(self, key: str, why: str = "worker process died") -> None:
-        super().__init__(f"shard {key!r}: {why}")
-        self.key = key
-
-
-class ShardHandle(abc.ABC):
-    """One shard as seen by the service: a session *somewhere*."""
-
-    def __init__(self, key: str, index: int, directory) -> None:
-        self.key = key
-        self.index = index
-        self.directory = directory
-        #: events routed to this shard in this process (fault-hook ordinal)
-        self.routed = 0
-        self._pending_batch: "list[FailureWarning] | None" = None
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    @abc.abstractmethod
-    def pid(self) -> int | None:
-        """Worker process id, or None when the shard runs in-process."""
-
-    @property
-    @abc.abstractmethod
-    def alive(self) -> bool:
-        """False once the shard's worker (or inproc stand-in) is dead."""
-
-    @property
-    @abc.abstractmethod
-    def session(self):
-        """Read-only session view (real session or RPC-backed proxy)."""
-
-    # -- streaming ---------------------------------------------------------
-
-    @abc.abstractmethod
-    def ingest(self, event: RASEvent) -> list[FailureWarning]: ...
-
-    @abc.abstractmethod
-    def ingest_batch(
-        self, events: list[RASEvent]
-    ) -> list[FailureWarning]: ...
-
-    def ingest_batch_begin(self, events: list[RASEvent]) -> None:
-        """Start delivering a sub-batch (scatter half of a fleet batch).
-
-        The default does the work inline — warnings are cached until
-        :meth:`ingest_batch_finish` — so in-process shards keep their
-        strictly sequential semantics.  The subprocess handle overrides
-        the pair to *send now, reply later*: the service scatters every
-        shard's sub-batch before awaiting the first reply, which is
-        what lets N workers chew their sub-batches (and any retrains
-        they trigger) concurrently.  No other command may be issued to
-        the shard between ``begin`` and ``finish``; the service's lock
-        guarantees that for all service-mediated traffic.
-        """
-        self._pending_batch = self.ingest_batch(events)
-
-    def ingest_batch_finish(self) -> list[FailureWarning]:
-        """Collect the warnings from the sub-batch begun last."""
-        out = self._pending_batch
-        self._pending_batch = None
-        return out if out is not None else []
-
-    @abc.abstractmethod
-    def advance(self, now: float) -> list[FailureWarning]: ...
-
-    @abc.abstractmethod
-    def flush(self) -> list[FailureWarning]: ...
-
-    # -- reads -------------------------------------------------------------
-
-    @abc.abstractmethod
-    def warnings(self) -> list[FailureWarning]: ...
-
-    @abc.abstractmethod
-    def summary(self) -> SessionSummary: ...
-
-    @property
-    @abc.abstractmethod
-    def n_ingested(self) -> int: ...
-
-    @abc.abstractmethod
-    def drift_status(self) -> dict | None: ...
-
-    @abc.abstractmethod
-    def journal_start_position(self) -> int | None:
-        """First retained journal record, or None without a journal."""
-
-    @abc.abstractmethod
-    def snapshot_metrics(self) -> list[dict]:
-        """The shard's private metric series as a mergeable registry
-        dump (empty inproc — those series already live in the parent
-        registry)."""
-
-    # -- durability and lifecycle ------------------------------------------
-
-    @abc.abstractmethod
-    def checkpoint(self) -> dict:
-        """Write the shard's checkpoint file; returns its payload."""
-
-    @abc.abstractmethod
-    def seal(self) -> None:
-        """Gracefully freeze the shard: close its journal (and, under
-        the subprocess backend, let the worker exit cleanly).  The
-        on-disk state becomes the frozen handoff/restore substrate.
-        Idempotent, and tolerant of an already-dead worker."""
-
-    @abc.abstractmethod
-    def kill(self) -> None:
-        """Hard-kill the shard's worker (``SIGKILL``), as a real crash
-        would: nothing is flushed, the next delivery fails.  Inproc the
-        handle is flagged dead and its journal dropped."""
-
-    @abc.abstractmethod
-    def finalize_build(self, journal_fsync: str | int) -> None:
-        """Resharding build epilogue: fsync the replayed journal,
-        restore the fleet fsync policy, checkpoint, enable metering."""
-
-    def close(self) -> None:
-        """Release the shard's resources (graceful); idempotent."""
-        self.seal()
-
-
-class ShardBackend(abc.ABC):
-    """Creates and recovers :class:`ShardHandle`\\ s for one service."""
-
-    name: str
-
-    def __init__(self) -> None:
-        self._service: "PredictionService | None" = None
-
-    def attach(self, service: "PredictionService") -> None:
-        if self._service is not None and self._service is not service:
-            raise ValueError(
-                f"this {type(self).__name__} already belongs to another "
-                f"service; backends are single-service"
-            )
-        self._service = service
-
-    @property
-    def service(self) -> "PredictionService":
-        assert self._service is not None, "backend used before attach()"
-        return self._service
-
-    @abc.abstractmethod
-    def create_shard(
-        self, key: str, index: int, directory, *, build: bool = False
-    ) -> ShardHandle:
-        """A fresh shard.  ``build=True`` is the resharding rebuild
-        variant: journal fsync off (the source journals stay durable
-        until cleanup) and metering disabled until
-        :meth:`ShardHandle.finalize_build`."""
-
-    @abc.abstractmethod
-    def recover_shard(self, key: str, index: int, directory) -> ShardHandle:
-        """A shard rebuilt from its checkpoint + journal on disk."""
-
-    def close(self) -> None:
-        """Release backend-level resources (idempotent)."""
-
-
-# -- in-process (default) ----------------------------------------------------
-
-
-class InprocShard(ShardHandle):
-    """Today's shard: session + metering wrapper in the service process."""
 
     def __init__(
         self,
@@ -247,539 +35,75 @@ class InprocShard(ShardHandle):
         index: int,
         directory,
         session: OnlinePredictionSession,
-        metered: MeteredSession | None,
+        *,
+        metered: bool = True,
     ) -> None:
-        super().__init__(key, index, directory)
-        self._session = session
-        self._metered = metered
-        self._dead = False
+        self.key = key
+        self.index = index
+        self.directory = directory
+        self.session = session
+        #: events routed to this shard in this process (fault-hook ordinal)
+        self.routed = 0
+        self._stream = self._meter() if metered else session
+        self._pending_batch: list[FailureWarning] = []
 
-    @property
-    def pid(self) -> int | None:
-        return None
-
-    @property
-    def alive(self) -> bool:
-        return not self._dead
-
-    @property
-    def session(self) -> OnlinePredictionSession:
-        return self._session
-
-    def _target(self):
-        if self._dead:
-            raise WorkerCrashed(self.key, "shard was hard-killed")
-        return self._metered if self._metered is not None else self._session
-
-    def ingest(self, event: RASEvent) -> list[FailureWarning]:
-        return self._target().ingest(event)
-
-    def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
-        return self._target().ingest_batch(events)
-
-    def advance(self, now: float) -> list[FailureWarning]:
-        return self._target().advance(now)
-
-    def flush(self) -> list[FailureWarning]:
-        return self._target().flush()
-
-    def warnings(self) -> list[FailureWarning]:
-        return self._session.warnings
-
-    def summary(self) -> SessionSummary:
-        return self._session.summary()
-
-    @property
-    def n_ingested(self) -> int:
-        return self._session.n_ingested
-
-    def drift_status(self) -> dict | None:
-        return self._session.drift_status()
-
-    def journal_start_position(self) -> int | None:
-        journal = self._session.journal
-        return None if journal is None else journal.start_position
-
-    def snapshot_metrics(self) -> list[dict]:
-        return []
-
-    def checkpoint(self) -> dict:
-        assert self.directory is not None
-        return self._session.checkpoint(self.directory / CHECKPOINT_NAME)
-
-    def seal(self) -> None:
-        journal = self._session.journal
-        if journal is not None and not journal.closed:
-            journal.close()
-
-    def kill(self) -> None:
-        self.seal()
-        self._dead = True
-
-    def finalize_build(self, journal_fsync: str | int) -> None:
-        journal = self._session.journal
-        assert journal is not None
-        journal.sync()
-        journal.fsync_policy = parse_fsync_policy(journal_fsync)
-        assert self.directory is not None
-        self._session.checkpoint(self.directory / CHECKPOINT_NAME)
-        self._metered = MeteredSession(
-            self._session,
+    def _meter(self) -> MeteredSession:
+        return MeteredSession(
+            self.session,
             prefix="service",
-            degraded_of=self._session,
+            degraded_of=self.session,
             shard=self.key,
         )
-
-
-class InprocBackend(ShardBackend):
-    """All shards in the service's process, sharing its executor."""
-
-    name = "inproc"
-
-    def _journal(self, directory, *, build: bool) -> EventJournal | None:
-        if directory is None:
-            return None
-        service = self.service
-        return EventJournal(
-            directory / JOURNAL_DIRNAME,
-            fsync="never" if build else service.journal_fsync,
-            retain=service.retain_journals,
-        )
-
-    def create_shard(
-        self, key: str, index: int, directory, *, build: bool = False
-    ) -> ShardHandle:
-        service = self.service
-        session = OnlinePredictionSession(
-            service.config,
-            catalog=service.catalog,
-            executor=service._executor,
-            origin=service.origin,
-            journal=self._journal(directory, build=build),
-        )
-        metered = None
-        if not build:
-            metered = MeteredSession(
-                session, prefix="service", degraded_of=session, shard=key
-            )
-        return InprocShard(key, index, directory, session, metered)
-
-    def recover_shard(self, key: str, index: int, directory) -> ShardHandle:
-        service = self.service
-        session = OnlinePredictionSession.recover(
-            directory / CHECKPOINT_NAME,
-            EventJournal(
-                directory / JOURNAL_DIRNAME,
-                fsync=service.journal_fsync,
-                retain=service.retain_journals,
-            ),
-            service.config,
-            catalog=service.catalog,
-            executor=service._executor,
-            origin=service.origin,
-        )
-        metered = MeteredSession(
-            session, prefix="service", degraded_of=session, shard=key
-        )
-        return InprocShard(key, index, directory, session, metered)
-
-
-# -- shared-nothing worker processes -----------------------------------------
-
-
-class WorkerSessionProxy:
-    """RPC-backed read view of a worker-owned session.
-
-    Exposes the introspection surface tests and tooling use through
-    ``service.session(key)`` — warnings, retrains, accounting — each
-    read a round trip on the worker's command channel.  Streaming goes
-    through the service, never this proxy.
-    """
-
-    def __init__(self, shard: "SubprocessShard") -> None:
-        self._shard = shard
-
-    @property
-    def warnings(self) -> list[FailureWarning]:
-        return self._shard._read("warnings")
-
-    @property
-    def retrains(self):
-        return self._shard._read("retrains")
-
-    @property
-    def retrain_failures(self):
-        return self._shard._read("retrain_failures")
-
-    @property
-    def n_ingested(self) -> int:
-        return self._shard.n_ingested
-
-    @property
-    def degraded(self) -> bool:
-        return self._shard._read("state")["degraded"]
-
-    @property
-    def current_week(self) -> int:
-        return self._shard._read("state")["current_week"]
-
-    @property
-    def n_quarantined(self) -> int:
-        return self._shard._read("state")["n_quarantined"]
-
-    @property
-    def journal(self) -> None:
-        """Workers own their journals; the parent never holds a handle."""
-        return None
-
-    def summary(self) -> SessionSummary:
-        return self._shard._read("summary")
-
-    def drift_status(self) -> dict | None:
-        return self._shard._read("drift_status")
-
-
-def _kill_process(proc: multiprocessing.process.BaseProcess) -> None:
-    """SIGKILL + reap, tolerating an already-dead process."""
-    try:
-        proc.kill()
-    except (ValueError, OSError):  # already closed/reaped
-        return
-    proc.join(timeout=10)
-
-
-class SubprocessShard(ShardHandle):
-    """Parent-side handle driving one shard worker over a pipe.
-
-    The channel is a ``multiprocessing`` duplex pipe: each message is a
-    length-prefixed pickled frame (``Connection`` frames every send with
-    a 4-byte length header).  Commands are strictly request/reply under
-    ``_lock``; a send/recv that fails means the worker died, which is
-    recorded and surfaced as :class:`WorkerCrashed`.
-    """
-
-    def __init__(
-        self,
-        key: str,
-        index: int,
-        directory,
-        proc: multiprocessing.process.BaseProcess,
-        conn: Connection,
-    ) -> None:
-        super().__init__(key, index, directory)
-        self._proc = proc
-        self._conn = conn
-        self._dead = False
-        self._lock = threading.Lock()
-        self._n_ingested = 0
-        #: final read-state cached by a graceful seal (None after SIGKILL)
-        self._final: dict | None = None
-        # Safety net mirroring _PooledExecutor: a handle dropped without
-        # close() (an abandoned service in a crash test) must not leak a
-        # live worker past garbage collection.
-        self._finalizer = weakref.finalize(self, _kill_process, proc)
-
-    # -- channel -----------------------------------------------------------
-
-    def _note_dead(self) -> None:
-        self._dead = True
-        self._finalizer.detach()
-        _kill_process(self._proc)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-    def _call(self, op: str, *args: Any) -> Any:
-        with self._lock:
-            if self._dead:
-                raise WorkerCrashed(self.key)
-            try:
-                self._conn.send((op, args))
-            except (EOFError, OSError) as exc:
-                self._note_dead()
-                raise WorkerCrashed(
-                    self.key, f"worker died mid-command ({op}): {exc!r}"
-                ) from exc
-            return self._recv_reply(op)
-
-    def _recv_reply(self, op: str) -> Any:
-        """Read and unpack one reply frame; caller holds ``_lock``."""
-        try:
-            status, payload, n_ingested, injected = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            self._note_dead()
-            raise WorkerCrashed(
-                self.key, f"worker died mid-command ({op}): {exc!r}"
-            ) from exc
-        self._n_ingested = n_ingested
-        if injected:
-            plan = faults.active()
-            if plan is not None:
-                plan.injected.extend(injected)
-        if status == "error":
-            raise payload
-        return payload
-
-    def _read(self, op: str) -> Any:
-        """A read op, served from the seal snapshot once the worker is
-        gone — so a gracefully-sealed shard stays inspectable exactly
-        like a killed inproc shard's still-live session object.  A
-        SIGKILLed worker has no snapshot; reads raise WorkerCrashed."""
-        if self._dead:
-            if self._final is not None:
-                return self._final[op]
-            raise WorkerCrashed(self.key, "worker was killed; no final state")
-        return self._call(op)
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def pid(self) -> int | None:
-        return self._proc.pid
-
-    @property
-    def alive(self) -> bool:
-        return not self._dead and self._proc.is_alive()
-
-    @property
-    def session(self) -> WorkerSessionProxy:
-        return WorkerSessionProxy(self)
 
     # -- streaming ---------------------------------------------------------
 
     def ingest(self, event: RASEvent) -> list[FailureWarning]:
-        return self._call("ingest", event)
+        return self._stream.ingest(event)
 
     def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
-        return self._call("ingest_batch", events)
+        return self._stream.ingest_batch(events)
 
     def ingest_batch_begin(self, events: list[RASEvent]) -> None:
-        # Send-only: the reply is collected by ingest_batch_finish, so
-        # sub-batches bound for other workers can be sent in between and
-        # the fleet's workers process one batch wave concurrently.
-        with self._lock:
-            if self._dead:
-                raise WorkerCrashed(self.key)
-            try:
-                self._conn.send(("ingest_batch", (events,)))
-            except (EOFError, OSError) as exc:
-                self._note_dead()
-                raise WorkerCrashed(
-                    self.key,
-                    f"worker died mid-command (ingest_batch): {exc!r}",
-                ) from exc
+        """Deliver one shard's share of a fleet batch; the warnings wait
+        for :meth:`ingest_batch_finish`.  The service begins every
+        shard's share before it finishes the first, so a profile sees
+        delivery and collection as two layers."""
+        self._pending_batch = self._stream.ingest_batch(events)
 
     def ingest_batch_finish(self) -> list[FailureWarning]:
-        with self._lock:
-            if self._dead:
-                raise WorkerCrashed(self.key)
-            return self._recv_reply("ingest_batch")
+        """Collect the warnings from the share begun last."""
+        out, self._pending_batch = self._pending_batch, []
+        return out
 
     def advance(self, now: float) -> list[FailureWarning]:
-        return self._call("advance", now)
+        return self._stream.advance(now)
 
     def flush(self) -> list[FailureWarning]:
-        return self._call("flush")
-
-    # -- reads -------------------------------------------------------------
-
-    def warnings(self) -> list[FailureWarning]:
-        return self._read("warnings")
-
-    def summary(self) -> SessionSummary:
-        return self._read("summary")
-
-    @property
-    def n_ingested(self) -> int:
-        """Accepted-event ledger; served from the piggybacked counter on
-        the last reply when the worker is gone."""
-        if self._dead:
-            return self._n_ingested
-        try:
-            return self._call("state")["n_ingested"]
-        except WorkerCrashed:
-            return self._n_ingested
-
-    def drift_status(self) -> dict | None:
-        return self._read("drift_status")
-
-    def journal_start_position(self) -> int | None:
-        return self._read("journal_start")
-
-    def snapshot_metrics(self) -> list[dict]:
-        return self._read("snapshot_metrics")
+        return self._stream.flush()
 
     # -- durability and lifecycle ------------------------------------------
 
     def checkpoint(self) -> dict:
-        return self._call("checkpoint")
+        """Write the shard's checkpoint file; returns its payload."""
+        assert self.directory is not None
+        return self.session.checkpoint(self.directory / CHECKPOINT_NAME)
 
     def seal(self) -> None:
-        if self._dead:
-            return
-        try:
-            self._final = self._call("seal")
-        except WorkerCrashed:
-            return
-        with self._lock:
-            self._dead = True
-            self._finalizer.detach()
-            self._proc.join(timeout=10)
-            if self._proc.is_alive():  # wedged worker: stop waiting
-                _kill_process(self._proc)
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-
-    def kill(self) -> None:
-        with self._lock:
-            if self._dead:
-                return
-            self._note_dead()
+        """Freeze the shard: close its journal, so its on-disk state is
+        the frozen handoff/restore substrate.  Idempotent."""
+        journal = self.session.journal
+        if journal is not None and not journal.closed:
+            journal.close()
 
     def finalize_build(self, journal_fsync: str | int) -> None:
-        self._call(
-            "finalize_build",
-            journal_fsync
-            if isinstance(journal_fsync, int)
-            else str(journal_fsync),
-        )
+        """Resharding build epilogue: fsync the replayed journal,
+        restore the fleet fsync policy, checkpoint, enable metering."""
+        journal = self.session.journal
+        assert journal is not None
+        journal.sync()
+        journal.fsync_policy = parse_fsync_policy(journal_fsync)
+        self.checkpoint()
+        self._stream = self._meter()
 
 
-class SubprocessBackend(ShardBackend):
-    """One shared-nothing worker process per shard.
-
-    ``start_method`` picks the :mod:`multiprocessing` start method
-    (default: ``REPRO_MP_START_METHOD`` env var, else ``fork`` where
-    available for its ~10ms worker starts, else ``spawn``).  The worker
-    entry point and its spec are fully picklable, so every start method
-    works — ``spawn`` simply pays a per-worker interpreter+import cost.
-
-    ``executor`` is the *worker-local* executor kind.  ``"process"`` is
-    coerced to ``"serial"``: the worker **is** the process-level
-    parallelism, and a nested pool per shard would multiply processes
-    for no additional cores (see the executor's ``ExecutorBroken``
-    contract — a broken nested pool must degrade to serial, never
-    respawn).
-    """
-
-    name = "subprocess"
-
-    def __init__(
-        self,
-        *,
-        start_method: str | None = None,
-        executor: str = "serial",
-    ) -> None:
-        super().__init__()
-        if start_method is None:
-            start_method = os.environ.get(START_METHOD_ENV) or None
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        self.executor_kind = "serial" if executor == "process" else executor
-
-    def _spawn(self, spec, directory) -> SubprocessShard:
-        from repro.service.worker import worker_main
-
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(spec, child_conn),
-            name=f"repro-shard-{spec.index:03d}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        handle = SubprocessShard(
-            spec.key, spec.index, directory, proc, parent_conn
-        )
-        try:
-            status, payload, n_ingested, injected = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            handle._note_dead()
-            raise WorkerCrashed(
-                spec.key, f"worker died during startup: {exc!r}"
-            ) from exc
-        if injected:
-            plan = faults.active()
-            if plan is not None:
-                plan.injected.extend(injected)
-        if status == "error":
-            handle._note_dead()
-            raise payload
-        handle._n_ingested = n_ingested
-        observe.gauge("service.workers", shard=spec.key).set(proc.pid or 0)
-        return handle
-
-    def _spec(self, key, index, directory, mode, *, build=False):
-        from repro.service.worker import WorkerSpec
-
-        service = self.service
-        plan = faults.active()
-        return WorkerSpec(
-            key=key,
-            index=index,
-            directory=None if directory is None else str(directory),
-            mode=mode,
-            config=service.config,
-            catalog=service.catalog,
-            origin=service.origin,
-            journal_fsync="never" if build else service.journal_fsync,
-            retain_journals=service.retain_journals,
-            executor_kind=self.executor_kind,
-            metered=not build,
-            fault_plan=None if plan is None else plan.worker_plan(),
-        )
-
-    def create_shard(
-        self, key: str, index: int, directory, *, build: bool = False
-    ) -> ShardHandle:
-        return self._spawn(
-            self._spec(key, index, directory, "create", build=build),
-            directory,
-        )
-
-    def recover_shard(self, key: str, index: int, directory) -> ShardHandle:
-        return self._spawn(
-            self._spec(key, index, directory, "recover"), directory
-        )
-
-
-def make_backend(spec: "str | ShardBackend | None") -> ShardBackend:
-    """Resolve a backend: an instance, a name, or None.
-
-    None consults ``REPRO_SERVICE_BACKEND`` and falls back to inproc —
-    this is how the chaos CI job re-runs entire suites under the
-    subprocess backend without touching a single test.
-    """
-    if isinstance(spec, ShardBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV) or "inproc"
-    if spec == "inproc":
-        return InprocBackend()
-    if spec == "subprocess":
-        return SubprocessBackend()
-    raise ValueError(
-        f"unknown shard backend {spec!r} (expected 'inproc' or 'subprocess')"
-    )
-
-
-__all__ = [
-    "BACKEND_ENV",
-    "InprocBackend",
-    "InprocShard",
-    "ShardBackend",
-    "ShardHandle",
-    "SubprocessBackend",
-    "SubprocessShard",
-    "WorkerCrashed",
-    "WorkerSessionProxy",
-    "make_backend",
-    "START_METHOD_ENV",
-]
+__all__ = ["CHECKPOINT_NAME", "JOURNAL_DIRNAME", "ShardHandle"]

@@ -94,9 +94,10 @@ def _require_ready(service: "PredictionService") -> None:
 
 
 def _require_full_journal(service: "PredictionService", key: str) -> None:
-    start = service._shards[key].journal_start_position()
-    if start is None:
+    journal = service._shards[key].session.journal
+    if journal is None:
         raise ReshardError(f"shard {key!r} has no journal to hand off")
+    start = journal.start_position
     if start != 0:
         raise ReshardError(
             f"shard {key!r}'s journal starts at record {start}, not 0 — "
@@ -192,7 +193,7 @@ class _TargetBuild:
     key: str
     index: int
     directory: Path
-    #: backend handle in build mode: journal fsync off, unmetered until
+    #: shard handle in build mode: journal fsync off, unmetered until
     #: :meth:`~repro.service.backends.ShardHandle.finalize_build`
     handle: ShardHandle
     #: True once the first event lands (unborn targets are discarded —
@@ -220,8 +221,8 @@ def _execute(
         _step("begin")
 
     # Step 2: freeze the handoff substrate.  Sealing closes each
-    # source's journal (a subprocess worker drains and exits here — its
-    # on-disk journal is what the build replays).  Sealed sources are
+    # source's journal (its on-disk journal is what the build
+    # replays).  Sealed sources are
     # marked down — if the process lives through the handoff they are
     # replaced at commit; if it dies, recovery re-seals them.
     for key in sources:
@@ -296,9 +297,7 @@ def _build_targets(
         # metering disabled; finalize_build() below syncs once, restores
         # the fleet policy, and arms the meters before the target goes
         # live.
-        handle = service._backend.create_shard(
-            key, index, directory, build=True
-        )
+        handle = service._create_shard(key, index, directory, build=True)
         builds[key] = _TargetBuild(
             key=key, index=index, directory=directory, handle=handle
         )

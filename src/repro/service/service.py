@@ -14,14 +14,9 @@ checkpoints and recovers as a unit:
   :meth:`PredictionService.shard_key` memoizes it per location for the
   current router (a reshard or a recovery installs a new router and so
   starts a new memo);
-* **pluggable shard placement** — the service speaks to shards only
-  through :class:`~repro.service.backends.ShardHandle`.  The default
-  :class:`~repro.service.backends.InprocBackend` hosts every stack in
-  this process, sharing one retrain executor (so a 64-shard fleet does
-  not spawn 64 process pools); the
-  :class:`~repro.service.backends.SubprocessBackend` gives each shard a
-  shared-nothing worker process with its own core, journal, and
-  worker-local executor — N shards on N cores, no GIL contention;
+* **shards** — each shard is a
+  :class:`~repro.service.backends.ShardHandle`: a session stack plus its
+  metering, in this process;
 * **fleet durability** — under ``fleet_dir`` each shard gets its own
   subdirectory (write-ahead journal + checkpoint file + a tiny
   ``shard.json`` identity record), and :meth:`checkpoint` finishes by
@@ -60,16 +55,16 @@ from pathlib import Path
 from repro import faults, observe
 from repro.alerts import FailureWarning
 from repro.core.config import FrameworkConfig
+from repro.core.online import OnlinePredictionSession
 from repro.core.session import SessionSummary
-from repro.parallel.executor import Executor
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.events import RASEvent
 from repro.resilience import checkpoint as ckpt
+from repro.resilience.journal import EventJournal
 from repro.service.backends import (
-    ShardBackend,
+    CHECKPOINT_NAME,
+    JOURNAL_DIRNAME,
     ShardHandle,
-    WorkerCrashed,
-    make_backend,
 )
 from repro.service.partition import Router, make_router, router_from_spec
 
@@ -82,8 +77,6 @@ MANIFEST_READABLE_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
 SHARDS_DIRNAME = "shards"
 SHARD_META_NAME = "shard.json"
-CHECKPOINT_NAME = "checkpoint.json"
-JOURNAL_DIRNAME = "journal"
 
 
 class ShardDown(RuntimeError):
@@ -189,14 +182,10 @@ class FleetSummary:
 class PredictionService:
     """Route a fleet's event stream to N independent session cores.
 
-    ``backend`` decides where shards live: ``"inproc"`` (default) or
-    ``"subprocess"``, a :class:`~repro.service.backends.ShardBackend`
-    instance, or None to consult the ``REPRO_SERVICE_BACKEND``
-    environment variable.  Inproc, every shard session shares
-    ``executor`` (pass ``own_executor=True`` to have the service close
-    it); under the subprocess backend each worker builds its own and
-    ``executor`` is ignored.  All shards share the service ``origin``,
-    so shard week boundaries stay aligned with the global stream.  With
+    Every shard runs in this process.  ``backend`` accepts only
+    ``"inproc"``, the one placement left; anything else raises
+    ``ValueError``.  All shards share the service ``origin``, so shard
+    week boundaries stay aligned with the global stream.  With
     ``fleet_dir`` set, each shard journals write-ahead and
     :meth:`checkpoint`/:meth:`recover` round-trip the whole fleet.
     """
@@ -209,14 +198,16 @@ class PredictionService:
         shard_by: str = "location",
         shards: int | None = None,
         router: Router | None = None,
-        executor: Executor | None = None,
-        own_executor: bool = False,
         origin: float = 0.0,
         fleet_dir: str | Path | None = None,
         journal_fsync: str | int = "always",
         retain_journals: bool = False,
-        backend: str | ShardBackend | None = None,
+        backend: str = "inproc",
     ) -> None:
+        if backend != "inproc":
+            raise ValueError(
+                f"unknown shard backend {backend!r} (only 'inproc' exists)"
+            )
         self.config = config or FrameworkConfig()
         self.catalog = catalog or default_catalog()
         self.router = router or make_router(shard_by, shards)
@@ -233,10 +224,6 @@ class PredictionService:
         #: crash mid-handoff is rolled forward by :meth:`recover`
         self.migration: dict | None = None
         self._next_index = 0
-        self._executor = executor
-        self._own_executor = own_executor and executor is not None
-        self._backend = make_backend(backend)
-        self._backend.attach(self)
         self._shards: dict[str, ShardHandle] = {}
         self._down: set[str] = set()
         self._closed = False
@@ -284,11 +271,6 @@ class PredictionService:
     # -- shard lifecycle ---------------------------------------------------
 
     @property
-    def backend(self) -> ShardBackend:
-        """The backend placing this fleet's shards."""
-        return self._backend
-
-    @property
     def shard_keys(self) -> list[str]:
         """Keys of all shards, in creation order."""
         return list(self._shards)
@@ -301,19 +283,11 @@ class PredictionService:
     @property
     def n_ingested(self) -> int:
         """Events accepted across the fleet (the resume/skip ledger)."""
-        return sum(s.n_ingested for s in self._shards.values())
+        return sum(s.session.n_ingested for s in self._shards.values())
 
-    def session(self, key: str):
-        """The session view currently serving shard ``key``: the real
-        :class:`~repro.core.online.OnlinePredictionSession` inproc, an
-        RPC-backed read proxy under the subprocess backend."""
+    def session(self, key: str) -> OnlinePredictionSession:
+        """The session currently serving shard ``key``."""
         return self._shards[key].session
-
-    def shard_pids(self) -> dict[str, int | None]:
-        """Worker pid per shard (None for in-process shards) — surfaced
-        in ``health``/``fleet status`` so operators can correlate a
-        shard with its OS process."""
-        return {key: shard.pid for key, shard in self._shards.items()}
 
     def _shard_dir(self, index: int, key: str) -> Path | None:
         if self.fleet_dir is None:
@@ -330,12 +304,51 @@ class PredictionService:
                 directory / SHARD_META_NAME,
                 {"key": key, "index": index, "epoch": self.epoch},
             )
-        shard = self._backend.create_shard(key, index, directory)
+        shard = self._create_shard(key, index, directory)
         self._shards[key] = shard
         if self.fleet_dir is not None:
             self._write_manifest()
         observe.gauge("service.shards").set(len(self._shards))
         return shard
+
+    def _journal(self, directory: Path, *, fsync: str | int) -> EventJournal:
+        return EventJournal(
+            directory / JOURNAL_DIRNAME,
+            fsync=fsync,
+            retain=self.retain_journals,
+        )
+
+    def _create_shard(
+        self, key: str, index: int, directory: Path | None, *,
+        build: bool = False,
+    ) -> ShardHandle:
+        """A fresh shard.  ``build=True`` is the resharding rebuild
+        variant: journal fsync off (the source journals stay durable
+        until cleanup) and metering off until
+        :meth:`ShardHandle.finalize_build`."""
+        journal = None
+        if directory is not None:
+            journal = self._journal(
+                directory, fsync="never" if build else self.journal_fsync
+            )
+        session = OnlinePredictionSession(
+            self.config, catalog=self.catalog, origin=self.origin,
+            journal=journal,
+        )
+        return ShardHandle(key, index, directory, session, metered=not build)
+
+    def _recover_shard(
+        self, key: str, index: int, directory: Path
+    ) -> ShardHandle:
+        """A shard rebuilt from its checkpoint + journal on disk."""
+        session = OnlinePredictionSession.recover(
+            directory / CHECKPOINT_NAME,
+            self._journal(directory, fsync=self.journal_fsync),
+            self.config,
+            catalog=self.catalog,
+            origin=self.origin,
+        )
+        return ShardHandle(key, index, directory, session)
 
     def _shard_for(self, event: RASEvent) -> ShardHandle:
         key = self.shard_key(event)
@@ -349,32 +362,13 @@ class PredictionService:
     def _mark_down(self, shard: ShardHandle) -> None:
         """A shard died: seal what remains, keep serving the rest.
 
-        Sealing closes the shard's journal (and lets a still-live
-        subprocess worker exit cleanly); a worker that is already gone
-        seals as a no-op.  Idempotent per shard — the kill counter
-        records each death once."""
+        Sealing closes the shard's journal.  Idempotent per shard — the
+        kill counter records each death once."""
         if shard.key in self._down:
             return
         self._down.add(shard.key)
         shard.seal()
         observe.counter("service.shard_kills", shard=shard.key).inc()
-
-    def reap_workers(self) -> list[str]:
-        """Mark shards whose worker process has died down; returns them.
-
-        Crash detection is otherwise lazy (the next delivery to a dead
-        worker fails); the supervisor calls this at the top of each poll
-        so silent worker deaths feed its circuit breaker without waiting
-        for traffic.  In-process shards have no separate process to lose
-        and are never reaped here."""
-        with self._lock:
-            reaped = []
-            for key, shard in self._shards.items():
-                if key in self._down or shard.pid is None or shard.alive:
-                    continue
-                self._mark_down(shard)
-                reaped.append(key)
-            return reaped
 
     # -- streaming surface -------------------------------------------------
 
@@ -383,10 +377,7 @@ class PredictionService:
 
         A :class:`~repro.faults.FaultInjected` raised by the chaos hook
         (or from inside the shard's stack, e.g. a journal fault) marks
-        the shard down and propagates; other shards keep serving.  A
-        dead worker process (crashed, or SIGKILLed by a
-        :class:`~repro.faults.WorkerKill`) is detected here — the failed
-        delivery marks the shard down and raises :class:`ShardDown`.
+        the shard down and propagates; other shards keep serving.
         """
         with self._lock:
             self._require_open()
@@ -396,15 +387,10 @@ class PredictionService:
             try:
                 if plan is not None:
                     plan.on_shard_event(shard.key, shard.routed)
-                    if plan.take_worker_kill(shard.key, shard.routed):
-                        shard.kill()
                 return shard.ingest(event)
             except faults.FaultInjected:
                 self._mark_down(shard)
                 raise
-            except WorkerCrashed:
-                self._mark_down(shard)
-                raise ShardDown(shard.key) from None
 
     def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
         """Route a batch of events; returns all new warnings.
@@ -413,11 +399,9 @@ class PredictionService:
         preserved, and each shard's sub-batch goes through its session's
         batched path (one group-commit journal fsync per shard instead
         of one per event) — this is what the serving front-end's
-        micro-batcher calls.  Delivery is scatter/gather: every shard's
-        sub-batch is begun before the first one's warnings are
-        collected, so under the subprocess backend all workers process
-        one batch wave — including any retrains it triggers —
-        concurrently.
+        micro-batcher calls.  Every shard's sub-batch is delivered
+        (:meth:`ShardHandle.ingest_batch_begin`) before the first one's
+        warnings are collected.
 
         Routing is validated atomically up front: if *any* event targets
         a shard currently marked down, :class:`ShardDown` is raised
@@ -443,7 +427,7 @@ class PredictionService:
                     raise ShardDown(key)
             plan = faults.active()
             begun: list[ShardHandle] = []
-            error: BaseException | None = None
+            error: faults.FaultInjected | None = None
             for key, batch in groups.items():
                 shard = self._shards.get(key)
                 if shard is None:
@@ -453,8 +437,6 @@ class PredictionService:
                         for event in batch:
                             shard.routed += 1
                             plan.on_shard_event(key, shard.routed)
-                            if plan.take_worker_kill(key, shard.routed):
-                                shard.kill()
                     else:
                         shard.routed += len(batch)
                     shard.ingest_batch_begin(batch)
@@ -462,46 +444,25 @@ class PredictionService:
                     self._mark_down(shard)
                     error = exc
                     break
-                except WorkerCrashed:
-                    self._mark_down(shard)
-                    error = ShardDown(key)
-                    break
                 begun.append(shard)
-            # Gather every begun shard even on error: a pending reply
-            # left in a surviving worker's pipe would desync its next
-            # command.  The first error (scatter order, then gather
-            # order) propagates after the drain.
+            # Sub-batches already delivered to other shards stay applied
+            # (each shard is an independent stream), so their warnings
+            # are collected before the fault propagates.
             new: list[FailureWarning] = []
             for shard in begun:
-                try:
-                    new.extend(shard.ingest_batch_finish())
-                except faults.FaultInjected as exc:
-                    self._mark_down(shard)
-                    error = error if error is not None else exc
-                except WorkerCrashed:
-                    self._mark_down(shard)
-                    error = (
-                        error if error is not None else ShardDown(shard.key)
-                    )
+                new.extend(shard.ingest_batch_finish())
             if error is not None:
                 raise error
             return new
 
     def advance(self, now: float) -> list[FailureWarning]:
-        """Move every live shard's clock (idle timer service).
-
-        A worker found dead here is marked down and skipped; the fleet
-        clock still advances everywhere else."""
+        """Move every live shard's clock (idle timer service)."""
         with self._lock:
             self._require_open()
             new: list[FailureWarning] = []
-            for shard in list(self._shards.values()):
-                if shard.key in self._down:
-                    continue
-                try:
+            for shard in self._shards.values():
+                if shard.key not in self._down:
                     new.extend(shard.advance(now))
-                except WorkerCrashed:
-                    self._mark_down(shard)
             return new
 
     def flush(self) -> list[FailureWarning]:
@@ -509,32 +470,23 @@ class PredictionService:
         with self._lock:
             self._require_open()
             new: list[FailureWarning] = []
-            for shard in list(self._shards.values()):
-                if shard.key in self._down:
-                    continue
-                try:
+            for shard in self._shards.values():
+                if shard.key not in self._down:
                     new.extend(shard.flush())
-                except WorkerCrashed:
-                    self._mark_down(shard)
             return new
 
     def warnings(self, key: str) -> list[FailureWarning]:
         """Warnings accumulated by shard ``key``."""
-        return self._shards[key].warnings()
+        return self._shards[key].session.warnings
 
     def summary(self) -> FleetSummary:
-        """Per-shard summaries plus fleet aggregates, keyed by shard.
-
-        A shard whose worker was hard-killed has no reachable state
-        until :meth:`restore_shard` and is omitted (gracefully sealed
-        shards still report their final snapshot)."""
-        shards: dict[str, SessionSummary] = {}
-        for key, shard in self._shards.items():
-            try:
-                shards[key] = shard.summary()
-            except WorkerCrashed:
-                continue
-        return FleetSummary(shards=shards)
+        """Per-shard summaries plus fleet aggregates, keyed by shard."""
+        return FleetSummary(
+            shards={
+                key: shard.session.summary()
+                for key, shard in self._shards.items()
+            }
+        )
 
     @property
     def adaptive(self) -> bool:
@@ -549,29 +501,15 @@ class PredictionService:
         on different sides of a regime change at the same instant.
         """
         with self._lock:
-            status: dict[str, dict | None] = {}
-            for key, shard in self._shards.items():
-                try:
-                    status[key] = shard.drift_status()
-                except WorkerCrashed:
-                    status[key] = None
-            return status
+            return {
+                key: shard.session.drift_status()
+                for key, shard in self._shards.items()
+            }
 
     def merged_metrics(self) -> dict[str, dict]:
-        """Fleet-wide metrics view: the parent registry with every live
-        worker's private series folded in (counters sum, histograms
-        merge, gauges last-write).  A snapshot-shaped read-only view —
-        the parent registry itself is never mutated, so repeated calls
-        never double-count.  Inproc shards record directly into the
-        parent registry and contribute no extra dump."""
-        with self._lock:
-            dumps = []
-            for shard in self._shards.values():
-                try:
-                    dumps.append(shard.snapshot_metrics())
-                except WorkerCrashed:
-                    continue
-            return observe.get_registry().merged_snapshot(dumps)
+        """Fleet-wide metrics: every shard records into the current
+        registry, so this is that registry's snapshot."""
+        return observe.get_registry().snapshot()
 
     @property
     def closed(self) -> bool:
@@ -586,29 +524,22 @@ class PredictionService:
             )
 
     def close(self) -> None:
-        """Seal every shard, then the backend and owned executor.
+        """Seal every shard, closing its journal.
 
-        Sealing closes each shard's journal (and, under the subprocess
-        backend, drains and joins its worker process).  Idempotent: a
-        second close (e.g. the serve drain path and a ``with`` block
-        both reaching it) is a no-op, so shards are never double-closed
-        and the shared executor is released exactly once.  Close takes
-        the service lock, so it serializes against an in-flight
-        ``ingest_batch`` from another thread: the batch either fully
-        applies (and its journal fds are still open while it does) or
-        the batch never started and raises the closed error.
+        Idempotent: a second close (e.g. the serve drain path and a
+        ``with`` block both reaching it) is a no-op, so shards are never
+        double-closed.  Close takes the service lock, so it serializes
+        against an in-flight ``ingest_batch`` from another thread: the
+        batch either fully applies (and its journal fds are still open
+        while it does) or the batch never started and raises the closed
+        error.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             for shard in self._shards.values():
-                shard.close()
-            self._backend.close()
-            if self._own_executor:
-                self._own_executor = False
-                assert self._executor is not None
-                self._executor.close()
+                shard.seal()
 
     def __enter__(self) -> "PredictionService":
         return self
@@ -684,24 +615,22 @@ class PredictionService:
     def restore_shard(self, key: str):
         """Bring a down shard back from its checkpoint + journal.
 
-        Under the subprocess backend this is a process respawn: the dead
-        worker's SIGKILLed corpse is reaped and a fresh worker recovers
-        from the shard directory.  Either way the restored session has
-        seen exactly the inputs the dead one accepted (write-ahead
-        journal replay past the checkpoint's recorded position); the
-        event whose delivery killed the shard was never durable and must
-        be re-delivered by the caller.  Returns the restored shard's
-        session view.
+        The restored session has seen exactly the inputs the dead one
+        accepted (write-ahead journal replay past the checkpoint's
+        recorded position); the event whose delivery killed the shard
+        was never durable and must be re-delivered by the caller.
+        Returns the restored shard's session.
         """
         with self._lock:
+            self._require_open()
             self._require_fleet_dir()
             old = self._shards[key]
             if old.directory is None:
                 raise ValueError(
                     f"shard {key!r} has no directory to restore from"
                 )
-            old.kill()
-            shard = self._backend.recover_shard(key, old.index, old.directory)
+            old.seal()
+            shard = self._recover_shard(key, old.index, old.directory)
             shard.routed = old.routed
             self._shards[key] = shard
             self._down.discard(key)
@@ -712,13 +641,12 @@ class PredictionService:
         """Drain one shard to disk and bring it back from its own state.
 
         The rolling-restart primitive: checkpoint the shard, seal it (a
-        clean shutdown of just that shard — under the subprocess backend
-        the worker process exits), then recover it through the same
-        checkpoint+replay path a crash would use — so a rolling restart
-        proves, shard by shard, that the fleet's durable state is
+        clean shutdown of just that shard), then recover it through the
+        same checkpoint+replay path a crash would use — so a rolling
+        restart proves, shard by shard, that the fleet's durable state is
         sufficient to continue.  A shard already marked down skips the
         drain (there is nothing live to drain) and goes straight to
-        recovery.  Returns the restarted shard's session view.
+        recovery.  Returns the restarted shard's session.
         """
         with self._lock:
             self._require_open()
@@ -762,11 +690,8 @@ class PredictionService:
         config: FrameworkConfig | None = None,
         catalog: EventCatalog | None = None,
         *,
-        executor: Executor | None = None,
-        own_executor: bool = False,
         origin: float | None = None,
         journal_fsync: str | int | None = None,
-        backend: "str | ShardBackend | None" = None,
     ) -> "PredictionService":
         """Crash-consistent recovery of the whole fleet.
 
@@ -837,14 +762,11 @@ class PredictionService:
             config,
             catalog=catalog,
             router=router,
-            executor=executor,
-            own_executor=own_executor,
             origin=origin if origin is not None else 0.0,
             journal_fsync=(
                 journal_fsync if journal_fsync is not None else "always"
             ),
             retain_journals=retain_journals,
-            backend=backend,
         )
         service.fleet_dir = fleet_dir
         (fleet_dir / SHARDS_DIRNAME).mkdir(parents=True, exist_ok=True)
@@ -875,7 +797,7 @@ class PredictionService:
                 found.append((meta["index"], meta["key"], directory))
         found.sort()
         for index, key, directory in found:
-            service._shards[key] = service._backend.recover_shard(
+            service._shards[key] = service._recover_shard(
                 key, index, directory
             )
         if found:

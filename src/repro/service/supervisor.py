@@ -126,11 +126,6 @@ class ShardSupervisor:
         """
         if now is None:
             now = self._clock()
-        # Under the subprocess backend, a worker can die without any
-        # traffic noticing; reap first so silent worker deaths enter the
-        # same down → backoff → restore (→ quarantine) pipeline as
-        # delivery-detected crashes.
-        self.service.reap_workers()
         down = self.service.down_shards
         for key in sorted(down):
             entry = self._ledger.setdefault(key, _Ledger())

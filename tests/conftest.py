@@ -26,33 +26,14 @@ def _sockets_unavailable() -> str | None:
     return None
 
 
-def _subprocess_unavailable() -> str | None:
-    """Why ``subprocess``-marked tests cannot run here, or None."""
-    if os.environ.get("REPRO_SKIP_SUBPROCESS_TESTS"):
-        return "REPRO_SKIP_SUBPROCESS_TESTS is set"
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    if not methods:
-        return "no multiprocessing start methods available"
-    wanted = os.environ.get("REPRO_MP_START_METHOD")
-    if wanted and wanted not in methods:
-        return f"start method {wanted!r} unavailable (have {methods})"
-    return None
-
-
 def pytest_collection_modifyitems(config, items):
-    for marker, probe, label in (
-        ("net", _sockets_unavailable, "net"),
-        ("subprocess", _subprocess_unavailable, "subprocess backend"),
-    ):
-        reason = probe()
-        if reason is None:
-            continue
-        skip = pytest.mark.skip(reason=f"{label} tests skipped: {reason}")
-        for item in items:
-            if marker in item.keywords:
-                item.add_marker(skip)
+    reason = _sockets_unavailable()
+    if reason is None:
+        return
+    skip = pytest.mark.skip(reason=f"net tests skipped: {reason}")
+    for item in items:
+        if "net" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,6 @@ import pytest
 from repro.core.meta import MetaLearner
 from repro.learners.base import BaseLearner
 from repro.learners.rules import StatisticalRule
-from repro.parallel.executor import (
-    ExecutorBroken,
-    SerialExecutor,
-    ThreadExecutor,
-)
 
 
 class _CountingLearner(BaseLearner):
@@ -57,9 +52,6 @@ class TestConstruction:
                 catalog=catalog,
             )
 
-    def test_default_executor_serial(self, catalog):
-        assert isinstance(MetaLearner(catalog=catalog).executor, SerialExecutor)
-
 
 class TestTraining:
     def test_all_learners_invoked(self, catalog, mid_trace):
@@ -91,68 +83,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="window"):
             ml.train(mid_trace.clean, 0.0)
 
-    def test_thread_executor_matches_serial(self, catalog, mid_trace):
-        log = mid_trace.clean.slice_weeks(0, 10)
-        serial = MetaLearner(catalog=catalog).train(log, 300.0)
-        with ThreadExecutor(max_workers=3) as pool:
-            threaded = MetaLearner(catalog=catalog, executor=pool).train(log, 300.0)
-        for name in serial.rules_by_learner:
-            assert {r.key for r in serial.rules_by_learner[name]} == {
-                r.key for r in threaded.rules_by_learner[name]
-            }
-
     def test_full_ensemble_produces_all_kinds(self, catalog, mid_trace):
         ml = MetaLearner(catalog=catalog)
         out = ml.train(mid_trace.clean.slice_weeks(0, 26), 300.0)
         assert out.rules_by_learner["association"]
         assert out.rules_by_learner["statistical"]
         assert out.rules_by_learner["distribution"]
-
-
-class _BrokenExecutorStub:
-    """Executor whose pool is permanently broken (infrastructure, not task)."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def map(self, fn, tasks):
-        self.calls += 1
-        raise ExecutorBroken("stub pool broke")
-
-
-class TestSerialFallback:
-    def test_broken_pool_falls_back_to_serial_once(self, catalog):
-        from repro import observe
-        from tests.conftest import make_log
-
-        learner = _CountingLearner(catalog)
-        broken = _BrokenExecutorStub()
-        meta = MetaLearner([learner], catalog=catalog, executor=broken)
-        log = make_log([(10.0, "KERNEL-N-000", {})])
-        registry = observe.MetricsRegistry()
-        with observe.use_registry(registry):
-            output = meta.train(log, 300.0)
-        assert broken.calls == 1
-        assert learner.calls == 1  # the serial retry actually trained
-        assert output.n_rules == 1
-        assert isinstance(meta.executor, SerialExecutor)
-        assert registry.counter("meta.train.serial_fallback").value == 1
-
-    def test_sibling_sharing_closed_pool_falls_back_serial(self, catalog):
-        """When one session's break closes a *shared* pool, every other
-        session sharing it sees ``ExecutorBroken`` (not RuntimeError) on
-        its next retrain and degrades to serial — it must never respawn
-        a nested pool of its own."""
-        from tests.conftest import make_log
-
-        pool = ThreadExecutor(max_workers=1)
-        pool.close()  # as the first session to hit the break would
-        learner = _CountingLearner(catalog)
-        meta = MetaLearner([learner], catalog=catalog, executor=pool)
-        output = meta.train(make_log([(10.0, "KERNEL-N-000", {})]), 300.0)
-        assert learner.calls == 1
-        assert output.n_rules == 1
-        assert isinstance(meta.executor, SerialExecutor)
 
     def test_learner_bugs_still_propagate(self, catalog):
         class _Bug(BaseLearner):

@@ -7,7 +7,6 @@ from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
 from repro.core.online import OnlinePredictionSession, SessionSummary
 from repro.core.windows import static_initial
 from repro.evaluation.matching import match_warnings
-from repro.parallel.executor import ThreadExecutor
 from repro.utils.timeutil import WEEK_SECONDS
 from tests.conftest import make_event, make_log
 
@@ -133,30 +132,11 @@ class TestSummaryAccounting:
         assert summary.recall == 0.0
 
 
-class TestExecutorOwnership:
-    def test_owned_executor_closed_on_exit(self, catalog, config):
-        ex = ThreadExecutor(max_workers=1)
-        with OnlinePredictionSession(
-            config, catalog=catalog, executor=ex, own_executor=True
-        ):
-            assert not ex.closed
-        assert ex.closed
-
-    def test_borrowed_executor_left_open(self, catalog, config):
-        ex = ThreadExecutor(max_workers=1)
-        with OnlinePredictionSession(config, catalog=catalog, executor=ex):
-            pass
-        assert not ex.closed
-        ex.close()
-
+class TestLifecycle:
     def test_close_is_idempotent(self, catalog, config):
-        ex = ThreadExecutor(max_workers=1)
-        session = OnlinePredictionSession(
-            config, catalog=catalog, executor=ex, own_executor=True
-        )
+        with OnlinePredictionSession(config, catalog=catalog) as session:
+            session.close()
         session.close()
-        session.close()
-        assert ex.closed
 
 
 class TestStreamDiscipline:

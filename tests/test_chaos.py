@@ -2,8 +2,8 @@
 
 Every test here installs a deterministic :class:`repro.faults.FaultPlan`
 (or corrupts its input with the seedable helpers) and pins the promised
-behaviour: degraded-mode sessions keep predicting and recover, broken
-pools fall back to serial training, garbage in the stream is skipped and
+behaviour: degraded-mode sessions keep predicting and recover, killed
+shards are isolated and restored, garbage in the stream is skipped and
 counted, and clock jitter within the reorder slack changes nothing.
 
 Run with ``pytest -m chaos`` (deselected from the default suite).
@@ -18,10 +18,8 @@ from repro.faults import (
     FaultInjected,
     FaultPlan,
     LearnerCrash,
-    PoolBreak,
     ShardKill,
 )
-from repro.parallel.executor import SerialExecutor, ThreadExecutor
 from repro.raslog.parser import ParseError, ParseReport, dump_log, load_log
 from repro.resilience.degrade import backoff_delay
 from repro.service import PredictionService, ShardDown
@@ -220,29 +218,6 @@ class TestDegradedBatch:
         config = FrameworkConfig(initial_train_weeks=2, retrain_weeks=2)
         with faults.install(plan), pytest.raises(FaultInjected):
             DynamicMetaLearningFramework(config, catalog=catalog).run(log)
-
-
-class TestBrokenPool:
-    def test_pool_break_falls_back_to_serial(self, catalog):
-        """An injected BrokenProcessPool mid-retraining costs nothing
-        visible: training completes serially and the session proceeds."""
-        log = pattern_log(6)
-        plan = FaultPlan(pool_breaks=[PoolBreak(times=1)])
-        registry = observe.MetricsRegistry()
-        config = FrameworkConfig(initial_train_weeks=2, retrain_weeks=2)
-        session = OnlinePredictionSession(
-            config,
-            catalog=catalog,
-            executor=ThreadExecutor(max_workers=2),
-            own_executor=True,
-        )
-        with observe.use_registry(registry), faults.install(plan), session:
-            stream(session, log)
-        assert plan.injected == ["pool:1"]
-        assert registry.counter("meta.train.serial_fallback").value == 1
-        assert isinstance(session.core.meta.executor, SerialExecutor)
-        assert [r.week for r in session.retrains] == [2, 4]
-        assert session.warnings
 
 
 FLEET_LOCS = ["R00-M0-N00", "R01-M1-N01", "R02-M0-N03"]

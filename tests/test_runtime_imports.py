@@ -1,7 +1,9 @@
-"""scipy is a test-only dependency: the runtime must never import it.
+"""Modules the runtime must never import.
 
-Each check runs in a fresh interpreter, so a module another test already
-imported cannot hide (or fake) the import.
+scipy is a test-only dependency, and the engine runs in one process, so
+neither ``multiprocessing`` nor the process-pool executor belongs in a
+cold start or a retraining.  Each check runs in a fresh interpreter, so
+a module another test already imported cannot hide (or fake) the import.
 """
 
 import os
@@ -17,8 +19,12 @@ import sys
 import numpy as np
 
 
+FORBIDDEN = ("scipy", "multiprocessing", "concurrent.futures.process")
+
+
 def check(step):
-    assert "scipy" not in sys.modules, f"scipy imported by: {step}"
+    for name in FORBIDDEN:
+        assert name not in sys.modules, f"{name} imported by: {step}"
 
 
 import repro.cli
