@@ -65,7 +65,6 @@ def _stream(config: FrameworkConfig, syn: SyntheticLog) -> SessionCore:
     core = SessionCore(config, catalog=syn.catalog, origin=0.0)
     for event in syn.clean:
         core.ingest(event)
-    core.flush()
     return core
 
 

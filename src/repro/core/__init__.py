@@ -15,7 +15,7 @@ from repro.core.framework import (
     WeeklyMetrics,
 )
 from repro.core.online import OnlinePredictionSession, SessionSummary
-from repro.core.session import SessionCore, StreamSession
+from repro.core.session import SessionCore
 from repro.core.serialization import (
     dump_repository,
     load_repository,
@@ -47,7 +47,6 @@ __all__ = [
     "OnlinePredictionSession",
     "SessionCore",
     "SessionSummary",
-    "StreamSession",
     "TuningDecision",
     "dump_repository",
     "load_repository",

@@ -4,66 +4,55 @@ A deployment *streams* events as the CMCS reports them.
 :class:`OnlinePredictionSession` is that mode: feed events one at a time
 with :meth:`ingest`, receive warnings back, and retraining fires
 automatically whenever the stream crosses a retraining boundary.  There
-is one engine: the session and the batch
+is one engine: the session is a :class:`~repro.core.session.SessionCore`
+subclass, and the batch
 :class:`~repro.core.framework.DynamicMetaLearningFramework` (which
-replays a complete log) both run the same
-:class:`~repro.core.session.SessionCore`, so a streamed trace produces
+replays a complete log) runs the same core, so a streamed trace produces
 the same warnings as a batch run over the same events.
 
-Structurally the session is a *facade* over a layered stack
-(:mod:`repro.core.session`): a pure :class:`~repro.core.session.SessionCore`
-holds the prediction state machine, and the production concerns compose
-around it as wrappers —
+The subclass adds the production concerns in front of the core's
+engine loop, in this order:
 
-* :class:`~repro.resilience.wrappers.ReorderingSession` (enabled by
-  ``config.reorder_slack > 0``) re-sequences out-of-order events within
-  the slack through a bounded buffer and quarantines later ones;
-* :class:`~repro.resilience.wrappers.JournalingSession` (enabled by
-  passing a :class:`~repro.resilience.EventJournal`) appends every
-  accepted input write-ahead, so :meth:`recover` (checkpoint + journal
-  replay past the checkpoint's recorded position) is crash-consistent;
-* with ``config.on_retrain_error="degrade"``, a crashing retraining is
-  recorded as a :class:`~repro.resilience.RetrainFailure` inside the
-  core and retried with capped exponential backoff while the previous
-  rule set keeps predicting;
-* :meth:`checkpoint` / :meth:`resume` round-trip the full stack state
-  through a versioned JSON file, so a restarted process continues
-  byte-identically to one that never stopped.
+* **validation** — an event before the origin or (without reorder
+  slack) out of time order raises ``ValueError`` before anything
+  changes, so a rejected event never reaches the journal;
+* **write-ahead journaling** (pass a
+  :class:`~repro.resilience.EventJournal`) — every accepted input is
+  appended before it may change state, so :meth:`recover` (checkpoint +
+  journal replay past the checkpoint's recorded position) is
+  crash-consistent;
+* **reordering** (``config.reorder_slack > 0``) — a bounded
+  :class:`~repro.resilience.ReorderBuffer` re-sequences out-of-order
+  events within the slack and quarantines later ones.
 
-The facade owns input validation (a rejected event must never reach the
-journal), the ``n_ingested`` ledger, and the checkpoint schema; a fleet
-of these sessions is orchestrated by
-:class:`repro.service.PredictionService`.
+With ``config.on_retrain_error="degrade"``, a crashing retraining is
+recorded as a :class:`~repro.resilience.RetrainFailure` inside the core
+and retried with capped exponential backoff while the previous rule set
+keeps predicting.  :meth:`checkpoint` / :meth:`resume` round-trip the
+full session state through a versioned JSON file, so a restarted process
+continues byte-identically to one that never stopped.  A fleet of these
+sessions is orchestrated by :class:`repro.service.PredictionService`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 from pathlib import Path
-
-import numpy as np
+from typing import Iterable
 
 from repro import observe
 from repro.alerts import FailureWarning
 from repro.core.config import FrameworkConfig
 from repro.core.knowledge import KnowledgeRepository
-from repro.core.session import (
-    RetrainEvent,
-    SessionCore,
-    SessionSummary,
-    StreamSession,
-)
+from repro.core.session import SessionCore, SessionSummary
 from repro.core.tracking import ChurnHistory
 from repro.raslog.catalog import EventCatalog
 from repro.raslog.events import RASEvent
 from repro.resilience import checkpoint as ckpt
-from repro.resilience.degrade import RetrainFailure
 from repro.resilience.journal import EventJournal, JournalCorruption
-from repro.resilience.wrappers import (
-    QUARANTINE_KEEP,
-    JournalingSession,
-    ReorderingSession,
-)
+from repro.resilience.reorder import QUARANTINE_KEEP, ReorderBuffer
 
 __all__ = [
     "OnlinePredictionSession",
@@ -71,8 +60,7 @@ __all__ = [
     "SessionSummary",
 ]
 
-
-class OnlinePredictionSession:
+class OnlinePredictionSession(SessionCore):
     """Event-at-a-time interface to the prediction engine.
 
     ``origin`` anchors week arithmetic (events must not precede it).
@@ -87,96 +75,24 @@ class OnlinePredictionSession:
         origin: float = 0.0,
         journal: EventJournal | None = None,
     ) -> None:
-        self._core = SessionCore(config, catalog=catalog, origin=origin)
+        super().__init__(config, catalog=catalog, origin=origin)
         #: total events offered to :meth:`ingest` (incl. buffered/dropped)
         self.n_ingested = 0
-
-        self._reordering: ReorderingSession | None = (
-            ReorderingSession(self._core, self._core.config.reorder_slack)
-            if self._core.config.reorder_slack > 0
-            else None
-        )
-        self._journaling: JournalingSession | None = None
-        self._stack: StreamSession = self._reordering or self._core
-        if journal is not None:
-            self._journaling = JournalingSession(self._stack, journal)
-            self._stack = self._journaling
-
-    # -- layer access ------------------------------------------------------
-
-    @property
-    def core(self) -> SessionCore:
-        """The pure prediction state machine under the wrappers."""
-        return self._core
-
-    @property
-    def config(self) -> FrameworkConfig:
-        return self._core.config
-
-    @property
-    def catalog(self) -> EventCatalog:
-        return self._core.catalog
-
-    @property
-    def origin(self) -> float:
-        return self._core.origin
-
-    @property
-    def repository(self) -> KnowledgeRepository:
-        return self._core.repository
-
-    @property
-    def churn(self) -> ChurnHistory:
-        return self._core.churn
-
-    @property
-    def retrains(self) -> list[RetrainEvent]:
-        return self._core.retrains
-
-    @property
-    def warnings(self) -> list[FailureWarning]:
-        return self._core.warnings
-
-    @property
-    def retrain_failures(self) -> list[RetrainFailure]:
-        """Failed retraining attempts (degraded mode only)."""
-        return self._core.retrain_failures
-
-    @property
-    def quarantined(self) -> deque[RASEvent]:
-        """Most recent events dropped as later than ``reorder_slack``."""
-        if self._reordering is None:
-            return deque(maxlen=QUARANTINE_KEEP)
-        return self._reordering.quarantined
+        slack = self.config.reorder_slack
+        self._reorder_buffer = ReorderBuffer(slack) if slack > 0 else None
+        #: most recent events dropped as later than ``reorder_slack``
+        self.quarantined: deque[RASEvent] = deque(maxlen=QUARANTINE_KEEP)
+        #: the attached write-ahead journal, if any
+        self.journal = journal
+        #: True while :meth:`_replay_journal` re-feeds journal records,
+        #: so they are not appended a second time
+        self._replaying = False
 
     @property
     def n_quarantined(self) -> int:
-        return 0 if self._reordering is None else self._reordering.n_quarantined
-
-    @property
-    def journal(self) -> EventJournal | None:
-        """The attached write-ahead journal, if any."""
-        return None if self._journaling is None else self._journaling.journal
-
-    # -- bookkeeping -------------------------------------------------------
-
-    @property
-    def current_week(self) -> int:
-        return self._core.current_week
-
-    @property
-    def degraded(self) -> bool:
-        """Whether a retraining is currently owed after failures."""
-        return self._core.degraded
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether retraining is drift-triggered rather than fixed-cadence."""
-        return self._core.adaptive
-
-    def drift_status(self) -> dict | None:
-        """Drift-detector/policy state, or None with the fixed trigger."""
-        return self._core.drift_status()
+        """Events dropped as later than ``reorder_slack``."""
+        buffer = self._reorder_buffer
+        return 0 if buffer is None else buffer.n_quarantined
 
     def close(self) -> None:
         """A no-op: the session owns nothing to release (an attached
@@ -189,7 +105,7 @@ class OnlinePredictionSession:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- public API --------------------------------------------------------
+    # -- streaming surface -------------------------------------------------
 
     def ingest(self, event: RASEvent) -> list[FailureWarning]:
         """Feed one event; returns any warnings it (or the timer) raised.
@@ -203,12 +119,14 @@ class OnlinePredictionSession:
         :attr:`quarantined`, never raised).  Call :meth:`flush` at end of
         stream to drain the buffer.
 
-        Validation happens *here*, before the stack: a rejected event is
+        Validation happens before the journal: a rejected event is
         deliberately never journaled — replaying it would abort recovery
         with the same error.
         """
-        self._validate([event])
-        new = self._stack.ingest(event)
+        self.validate((event,))
+        if self.journal is not None and not self._replaying:
+            self.journal.append({"kind": "ingest", "event": event.as_dict()})
+        new = self._feed((event,))
         self.n_ingested += 1
         return new
 
@@ -217,9 +135,9 @@ class OnlinePredictionSession:
 
         Semantically equivalent to calling :meth:`ingest` per event,
         but with journaling enabled the whole batch is made durable by a
-        single group commit (one write + one fsync) instead of one fsync
-        per event — the dominant per-event cost under
-        ``journal_fsync="always"``.
+        single group commit (one write + one fsync) before the first
+        event may change state, instead of one fsync per event — the
+        dominant per-event cost under ``journal_fsync="always"``.
 
         Validation is atomic over the batch: every event is checked
         against the origin and (without reorder slack) time order
@@ -229,43 +147,77 @@ class OnlinePredictionSession:
         """
         if not events:
             return []
-        self._validate(events)
-        new = self._stack.ingest_batch(events)
+        self.validate(events)
+        if self.journal is not None and not self._replaying:
+            self.journal.append_batch(
+                [{"kind": "ingest", "event": e.as_dict()} for e in events]
+            )
+        new = self._feed(events)
         self.n_ingested += len(events)
         return new
 
-    def _validate(self, events: list[RASEvent]) -> None:
-        """Reject events before the origin or (without reorder slack) out
-        of time order, before any of them reaches the stack."""
-        last = self._core.last_time
+    def validate(self, events: Iterable[RASEvent]) -> None:
+        """Raise ``ValueError`` if any event precedes the origin or
+        (without reorder slack) breaks time order; changes nothing."""
+        last = self._last_time
         origin = self.origin
+        ordered = self._reorder_buffer is None
         for event in events:
-            if event.timestamp < origin:
+            t = event.timestamp
+            if t < origin:
                 raise ValueError(
-                    f"event at {event.timestamp} precedes the session "
-                    f"origin {origin}"
+                    f"event at {t} precedes the session origin {origin}"
                 )
-            if self._reordering is None:
-                if event.timestamp < last:
+            if ordered:
+                if t < last:
                     raise ValueError(
-                        f"events must arrive in time order "
-                        f"({event.timestamp} < {last})"
+                        f"events must arrive in time order ({t} < {last})"
                     )
-                last = event.timestamp
+                last = t
+
+    def _feed(self, events: Iterable[RASEvent]) -> list[FailureWarning]:
+        """Hand validated events to the engine loop, through the reorder
+        buffer when there is one."""
+        buffer = self._reorder_buffer
+        if buffer is None:
+            return super().ingest_batch(events)
+        ready: list[RASEvent] = []
+        for event in events:
+            released, dropped = buffer.push(event)
+            ready.extend(released)
+            if dropped:
+                self.quarantined.extend(dropped)
+                observe.counter("online.quarantined").inc(len(dropped))
+        return super().ingest_batch(ready)
+
+    def _write_ahead(self, record: dict) -> None:
+        if self.journal is not None and not self._replaying:
+            self.journal.append(record)
 
     def flush(self) -> list[FailureWarning]:
-        """Drain the reorder buffer (end of stream); returns new warnings."""
-        if self._reordering is None:
+        """Drain the reorder buffer (end of stream); returns new warnings.
+
+        Without a reorder buffer there is nothing to drain, and nothing
+        is journaled."""
+        if self._reorder_buffer is None:
             return []
-        return self._stack.flush()
+        self._write_ahead({"kind": "flush"})
+        return super().ingest_batch(self._reorder_buffer.drain())
 
     def advance(self, now: float) -> list[FailureWarning]:
         """Move the session clock without an event (idle timer service)."""
-        if now < self._core.last_time:
+        if now < self._last_time:
             raise ValueError(
-                f"clock moved backwards: {now} < {self._core.last_time}"
+                f"clock moved backwards: {now} < {self._last_time}"
             )
-        return self._stack.advance(now)
+        self._write_ahead({"kind": "advance", "now": now})
+        if self._reorder_buffer is None:
+            return super().advance(now)
+        # The clock overtaking a buffered event forces it out: the
+        # deployment timer observed "now", so nothing before it may
+        # still be pending.
+        new = super().ingest_batch(self._reorder_buffer.release_until(now))
+        return new + super().advance(now)
 
     def summary(self) -> SessionSummary:
         """Accuracy accounting over the prediction period.
@@ -273,7 +225,7 @@ class OnlinePredictionSession:
         Failures that occurred before predictions started (during the
         initial training period) do not count toward recall.
         """
-        return self._core.summary(n_quarantined=self.n_quarantined)
+        return super().summary(n_quarantined=self.n_quarantined)
 
     # -- write-ahead journal -----------------------------------------------
 
@@ -281,16 +233,15 @@ class OnlinePredictionSession:
         """Re-feed journal records past ``from_position``; returns count.
 
         Replay drives the *public* API (``ingest``/``advance``/``flush``)
-        with journaling suppressed, so the recovered session walks
-        exactly the state transitions of the pre-crash one — reorder
-        buffering, retraining, degraded-mode bookkeeping and all.
+        with journaling off, so the recovered session walks exactly the
+        state transitions of the pre-crash one — reorder buffering,
+        retraining, degraded-mode bookkeeping and all.
         """
-        assert self._journaling is not None
-        journal = self._journaling.journal
-        self._journaling.suppress = True
+        assert self.journal is not None
+        self._replaying = True
         replayed = 0
         try:
-            for _index, record in journal.replay(from_position):
+            for _index, record in self.journal.replay(from_position):
                 kind = record.get("kind")
                 if kind == "ingest":
                     self.ingest(RASEvent.from_dict(record["event"]))
@@ -304,7 +255,7 @@ class OnlinePredictionSession:
                     )
                 replayed += 1
         finally:
-            self._journaling.suppress = False
+            self._replaying = False
         if replayed:
             observe.counter("journal.replayed_events").inc(replayed)
         return replayed
@@ -323,55 +274,53 @@ class OnlinePredictionSession:
         reorder-buffer residue.  Written with temp-file + ``os.replace``
         so a crash mid-write never leaves a torn file.
         """
-        core = self._core
-        tail_start = core.history_tail_start()
-        times = np.fromiter(
-            (e.timestamp for e in core._events),
-            dtype=np.float64,
-            count=len(core._events),
+        lo = bisect_left(
+            self._events,
+            self.history_tail_start(),
+            key=attrgetter("timestamp"),
         )
-        lo = int(np.searchsorted(times, tail_start, side="left"))
         journal = self.journal
+        buffer = self._reorder_buffer
         payload = {
             "format": ckpt.CHECKPOINT_FORMAT,
             "version": ckpt.CHECKPOINT_VERSION,
-            "config_digest": ckpt.config_digest(core.config),
-            "config": ckpt.config_to_dict(core.config),
-            "origin": core.origin,
-            "last_time": core.last_time,
+            "config_digest": ckpt.config_digest(self.config),
+            "config": ckpt.config_to_dict(self.config),
+            "origin": self.origin,
+            "last_time": self.last_time,
             "n_ingested": self.n_ingested,
             "history": {
-                "dropped": core._history_dropped + lo,
-                "events": [e.as_dict() for e in core._events[lo:]],
+                "dropped": self._history_dropped + lo,
+                "events": [e.as_dict() for e in self._events[lo:]],
             },
             "fatal": {
-                "times": list(core._fatal_times),
-                "codes": list(core._fatal_codes),
+                "times": list(self._fatal_times),
+                "codes": list(self._fatal_codes),
             },
             "schedule": {
-                "next_retrain_week": core._next_retrain_week,
-                "pending_retrain_week": core._pending_retrain_week,
-                "retrain_attempts": core._retrain_attempts,
+                "next_retrain_week": self._next_retrain_week,
+                "pending_retrain_week": self._pending_retrain_week,
+                "retrain_attempts": self._retrain_attempts,
                 "retry_at": (
-                    None if core._retrain_attempts == 0 else core._retry_at
+                    None if self._retrain_attempts == 0 else self._retry_at
                 ),
-                "degraded_since": core._degraded_since,
+                "degraded_since": self._degraded_since,
             },
             "repository": [
-                ckpt.record_to_dict(r) for r in core.repository.records()
+                ckpt.record_to_dict(r) for r in self.repository.records()
             ],
             "predictor": (
                 None
-                if core._predictor is None
-                else core._predictor.state_snapshot()
+                if self._predictor is None
+                else self._predictor.state_snapshot()
             ),
             "retrains": [
-                ckpt.retrain_event_to_dict(r) for r in core.retrains
+                ckpt.retrain_event_to_dict(r) for r in self.retrains
             ],
             "retrain_failures": [
-                ckpt.failure_to_dict(f) for f in core.retrain_failures
+                ckpt.failure_to_dict(f) for f in self.retrain_failures
             ],
-            "warnings": [ckpt.warning_to_dict(w) for w in core.warnings],
+            "warnings": [ckpt.warning_to_dict(w) for w in self.warnings],
             # Write-ahead-log position this snapshot covers: recovery
             # replays journal records from here on.  None: the session
             # ran without a journal (checkpoint-only durability).
@@ -381,26 +330,24 @@ class OnlinePredictionSession:
             # Drift-detector + adaptive-policy state (format v3).  None:
             # fixed-cadence trigger, nothing to capture.
             "adapt": (
-                None if core._adapt is None else core._adapt.snapshot()
+                None if self._adapt is None else self._adapt.snapshot()
             ),
             "reorder": (
                 None
-                if self._reordering is None
+                if buffer is None
                 else {
                     # -inf (no event seen yet) is not valid JSON; encode
                     # the sentinel as null, mirroring retry_at above.
                     "max_seen": (
                         None
-                        if self._reordering.buffer.max_seen == float("-inf")
-                        else self._reordering.buffer.max_seen
+                        if buffer.max_seen == float("-inf")
+                        else buffer.max_seen
                     ),
-                    "n_reordered": self._reordering.buffer.n_reordered,
-                    "buffered": [
-                        e.as_dict() for e in self._reordering.buffer.pending()
-                    ],
-                    "n_quarantined": self._reordering.n_quarantined,
+                    "n_reordered": buffer.n_reordered,
+                    "buffered": [e.as_dict() for e in buffer.pending()],
+                    "n_quarantined": buffer.n_quarantined,
                     "quarantined_tail": [
-                        e.as_dict() for e in self._reordering.quarantined
+                        e.as_dict() for e in self.quarantined
                     ],
                 }
             ),
@@ -445,44 +392,43 @@ class OnlinePredictionSession:
                 f"configuration (digest mismatch)"
             )
         session = cls(config, catalog=catalog, origin=payload["origin"])
-        core = session._core
-        core._last_time = payload["last_time"]
+        session._last_time = payload["last_time"]
         session.n_ingested = payload["n_ingested"]
-        core._history_dropped = payload["history"]["dropped"]
-        core._events = [
+        session._history_dropped = payload["history"]["dropped"]
+        session._events = [
             RASEvent.from_dict(d) for d in payload["history"]["events"]
         ]
-        core._fatal_times = list(payload["fatal"]["times"])
-        core._fatal_codes = list(payload["fatal"]["codes"])
+        session._fatal_times = list(payload["fatal"]["times"])
+        session._fatal_codes = list(payload["fatal"]["codes"])
 
         schedule = payload["schedule"]
-        core._next_retrain_week = schedule["next_retrain_week"]
-        core._pending_retrain_week = schedule["pending_retrain_week"]
-        core._retrain_attempts = schedule["retrain_attempts"]
-        core._retry_at = (
+        session._next_retrain_week = schedule["next_retrain_week"]
+        session._pending_retrain_week = schedule["pending_retrain_week"]
+        session._retrain_attempts = schedule["retrain_attempts"]
+        session._retry_at = (
             float("-inf")
             if schedule["retry_at"] is None
             else schedule["retry_at"]
         )
-        core._degraded_since = schedule["degraded_since"]
+        session._degraded_since = schedule["degraded_since"]
 
-        core.repository = KnowledgeRepository(
+        session.repository = KnowledgeRepository(
             ckpt.record_from_dict(d) for d in payload["repository"]
         )
         if payload["predictor"] is not None:
-            predictor = core.make_predictor()
+            predictor = session.make_predictor()
             predictor.restore_state(payload["predictor"])
-            core._predictor = predictor
-        core.retrains = [
+            session._predictor = predictor
+        session.retrains = [
             ckpt.retrain_event_from_dict(d) for d in payload["retrains"]
         ]
-        core.churn = ChurnHistory()
-        for event in core.retrains:
-            core.churn.append(event.churn)
-        core.retrain_failures = [
+        session.churn = ChurnHistory()
+        for event in session.retrains:
+            session.churn.append(event.churn)
+        session.retrain_failures = [
             ckpt.failure_from_dict(d) for d in payload["retrain_failures"]
         ]
-        core.warnings = [
+        session.warnings = [
             ckpt.warning_from_dict(d) for d in payload["warnings"]
         ]
 
@@ -490,12 +436,12 @@ class OnlinePredictionSession:
         # fixed-cadence (the adaptive config fields change the digest),
         # so a missing/None field never drops adaptive state.
         adapt_state = payload.get("adapt")
-        if core._adapt is not None and adapt_state is not None:
-            core._adapt.restore(adapt_state)
+        if session._adapt is not None and adapt_state is not None:
+            session._adapt.restore(adapt_state)
 
         reorder = payload["reorder"]
-        if reorder is not None and session._reordering is not None:
-            buffer = session._reordering.buffer
+        buffer = session._reorder_buffer
+        if reorder is not None and buffer is not None:
             buffer.max_seen = (
                 float("-inf")
                 if reorder["max_seen"] is None
@@ -507,16 +453,12 @@ class OnlinePredictionSession:
                 buffer.push(RASEvent.from_dict(d))
             buffer.n_reordered = reorder["n_reordered"]
             buffer.n_quarantined = reorder["n_quarantined"]
-            session._reordering.n_quarantined = reorder["n_quarantined"]
-            session._reordering.quarantined.extend(
+            session.quarantined.extend(
                 RASEvent.from_dict(d) for d in reorder["quarantined_tail"]
             )
         observe.counter("online.resumes").inc()
         if journal is not None:
-            session._journaling = JournalingSession(
-                session._reordering or session._core, journal
-            )
-            session._stack = session._journaling
+            session.journal = journal
             recorded = payload.get("journal")
             # A v1 checkpoint (or one written journal-less) recorded no
             # position; replaying from 0 is only sound if the journal

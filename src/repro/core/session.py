@@ -2,38 +2,25 @@
 
 :class:`SessionCore` is the event-at-a-time heart of the online path —
 windowing, retrain scheduling, degraded-mode bookkeeping, and the
-predictor feed — extracted from the monolithic
-``OnlinePredictionSession`` so durability and delivery concerns compose
-*around* it instead of being welded into it:
-
-* :class:`~repro.resilience.wrappers.ReorderingSession` re-sequences
-  late events through a bounded buffer before they reach the core;
-* :class:`~repro.resilience.wrappers.JournalingSession` appends every
-  accepted input to a write-ahead log before delegating;
-* :class:`~repro.observe.wrappers.MeteredSession` records labeled
-  throughput/latency/degraded-state metrics around any layer.
-
-Every layer implements the same :class:`StreamSession` protocol
-(``ingest`` / ``ingest_batch`` / ``advance`` / ``flush``), so stacks are
-built by plain composition — ``JournalingSession(ReorderingSession(core))``
-— and a fleet-level service can wrap N cores without any of them
-knowing.  Every layer hands a batch down whole, so
-:meth:`SessionCore.ingest_batch` is the engine's one per-event loop; the
-batch :class:`~repro.core.framework.DynamicMetaLearningFramework` is a
-replay driver feeding a log through it, so there is a single engine.
+predictor feed.  :meth:`SessionCore.ingest_batch` is the engine's one
+per-event loop: the batch
+:class:`~repro.core.framework.DynamicMetaLearningFramework` is a replay
+driver feeding a log through a core, and the streaming
+:class:`~repro.core.online.OnlinePredictionSession` is a subclass that
+adds input validation, an optional reorder buffer and an optional
+write-ahead journal in front of the same loop, so there is a single
+engine.
 
 The core itself performs no durable I/O: it owns no files, no journal,
 no checkpoint format.  (It *does* record process-local metrics through
 :mod:`repro.observe`, which touches no disk.)  Checkpoint serialization
-lives with the ``OnlinePredictionSession`` facade, which reads the
-core's state through :meth:`state`-style accessors rather than pickling
-it blind.
+lives with the ``OnlinePredictionSession`` subclass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -56,19 +43,6 @@ from repro.utils.timeutil import WEEK_SECONDS
 #: Prediction-window hook: ``tuner(week, train_log, meta, reviser)``
 #: returns the window ``Wp`` a retraining trains, revises and predicts with.
 WindowTuner = Callable[[int, EventLog, MetaLearner, Reviser], float]
-
-
-@runtime_checkable
-class StreamSession(Protocol):
-    """The composable session surface every layer implements."""
-
-    def ingest(self, event: RASEvent) -> list[FailureWarning]: ...
-
-    def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]: ...
-
-    def advance(self, now: float) -> list[FailureWarning]: ...
-
-    def flush(self) -> list[FailureWarning]: ...
 
 
 @dataclass
@@ -122,8 +96,8 @@ class SessionCore:
     ``origin`` anchors week arithmetic (events must not precede it).
     Predictions start once ``config.initial_train_weeks`` of data have
     streamed in; before that, :meth:`ingest` buffers silently.  Events
-    must arrive in time order — tolerance for disorder is a wrapper's
-    job (:class:`~repro.resilience.wrappers.ReorderingSession`).
+    must arrive in time order — tolerance for disorder is the job of
+    :class:`~repro.core.online.OnlinePredictionSession`'s reorder buffer.
     """
 
     def __init__(
@@ -369,7 +343,7 @@ class SessionCore:
         if self._pending_retrain_week is not None and t >= self._retry_at:
             self._attempt_retrain(self._pending_retrain_week, t)
 
-    # -- StreamSession surface ---------------------------------------------
+    # -- streaming surface -------------------------------------------------
 
     def ingest(self, event: RASEvent) -> list[FailureWarning]:
         """Feed one in-order event; returns any warnings it raised."""
@@ -397,7 +371,8 @@ class SessionCore:
         the origin or out of time order raises ``ValueError`` after the
         events ahead of it were applied (and counted in
         ``online.events``); validating a whole batch before any of it is
-        applied is the job of whoever owns the stack.
+        applied is the job of
+        :class:`~repro.core.online.OnlinePredictionSession`.
         """
         first = len(self.warnings)
         origin, tick = self.origin, self.config.tick
@@ -465,10 +440,6 @@ class SessionCore:
             self._adapt.observe_warnings(caught)
         return caught
 
-    def flush(self) -> list[FailureWarning]:
-        """End of stream; the pure core holds nothing back."""
-        return []
-
     # -- accounting ---------------------------------------------------------
 
     def summary(self, n_quarantined: int = 0) -> SessionSummary:
@@ -520,4 +491,4 @@ class SessionCore:
         return min(self._boundary_time(w0), self._boundary_time(first) - wp)
 
 
-__all__ = ["RetrainEvent", "SessionCore", "SessionSummary", "StreamSession"]
+__all__ = ["RetrainEvent", "SessionCore", "SessionSummary"]

@@ -80,7 +80,7 @@ class ShardKill:
     """Kill one fleet shard when its ``at_count``-th event is routed to it.
 
     The hook fires in :meth:`repro.service.PredictionService.ingest`
-    *before* the event reaches the shard's session stack, so the killed
+    *before* the event reaches the shard's session, so the killed
     event was never journaled — exactly the semantics of a process dying
     between receiving an input and accepting it: the event was never
     durable and its source must re-deliver it.  The service marks the

@@ -42,12 +42,7 @@ from repro.resilience.journal import (
     JournalError,
     parse_fsync_policy,
 )
-from repro.resilience.reorder import ReorderBuffer
-from repro.resilience.wrappers import (
-    QUARANTINE_KEEP,
-    JournalingSession,
-    ReorderingSession,
-)
+from repro.resilience.reorder import QUARANTINE_KEEP, ReorderBuffer
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -57,10 +52,8 @@ __all__ = [
     "EventJournal",
     "JournalCorruption",
     "JournalError",
-    "JournalingSession",
     "QUARANTINE_KEEP",
     "ReorderBuffer",
-    "ReorderingSession",
     "RetrainFailure",
     "atomic_write_json",
     "backoff_delay",

@@ -20,6 +20,9 @@ import heapq
 
 from repro.raslog.events import RASEvent
 
+#: How many quarantined (too-late) events a session keeps for inspection.
+QUARANTINE_KEEP = 100
+
 
 class ReorderBuffer:
     """Min-heap buffer releasing events once they clear the slack window."""

@@ -3,7 +3,7 @@
 N independent prediction streams behind one router.  The service routes
 each RAS event to a shard by a partition key
 (:mod:`repro.service.partition`), runs each shard as an in-process
-session stack (:class:`~repro.service.backends.ShardHandle`), and owns a
+session (:class:`~repro.service.backends.ShardHandle`), and owns a
 fleet-level checkpoint/journal directory so the whole fleet recovers
 crash-consistently (:mod:`repro.service.service`)::
 

@@ -1,20 +1,22 @@
-"""Shard handles: one shard's session stack as the service drives it.
+"""Shard handles: one shard's session as the service drives it.
 
 :class:`~repro.service.service.PredictionService` routes events; a
 :class:`ShardHandle` is what an event is routed *to*: one
-:class:`~repro.core.online.OnlinePredictionSession` stack (reordering,
-journal) in the service's own process, plus the
-:class:`~repro.observe.wrappers.MeteredSession` that records its
-``service.*{shard="..."}`` series.  Routing, batch commit,
-checkpointing, supervision and resharding stream through the handle and
-read through ``handle.session``.
+:class:`~repro.core.online.OnlinePredictionSession` (reordering,
+journal) in the service's own process, plus the labeled
+``service.*{shard="..."}`` series the handle records around it.
+Routing, batch commit, checkpointing, supervision and resharding stream
+through the handle and read through ``handle.session``.
 """
 
 from __future__ import annotations
 
+import time
+from typing import Callable
+
+from repro import observe
 from repro.alerts import FailureWarning
 from repro.core.online import OnlinePredictionSession
-from repro.observe.wrappers import MeteredSession
 from repro.raslog.events import RASEvent
 from repro.resilience.journal import parse_fsync_policy
 
@@ -23,7 +25,14 @@ JOURNAL_DIRNAME = "journal"
 
 
 class ShardHandle:
-    """One shard: a session stack and its metering, in this process.
+    """One shard: a session and its metering, in this process.
+
+    A metered handle records, labeled ``shard=key``:
+
+    * ``service.ingest`` — latency histogram of each ingest call;
+    * ``service.events`` — ingested-event counter;
+    * ``service.warnings`` — raised-warning counter;
+    * ``service.degraded`` — 1.0 while a retraining is owed.
 
     ``metered=False`` builds an unmetered shard (resharding's rebuild
     replay); :meth:`finalize_build` arms the meters.
@@ -42,33 +51,67 @@ class ShardHandle:
         self.index = index
         self.directory = directory
         self.session = session
+        self.metered = metered
         #: events routed to this shard in this process (fault-hook ordinal)
         self.routed = 0
-        self._stream = self._meter() if metered else session
         self._pending_batch: list[FailureWarning] = []
+        #: registry the cached instruments belong to (see _instrument)
+        self._registry: observe.MetricsRegistry | None = None
+        self._instruments: dict[str, object] = {}
 
-    def _meter(self) -> MeteredSession:
-        return MeteredSession(
-            self.session,
-            prefix="service",
-            degraded_of=self.session,
-            shard=self.key,
+    # -- metering ----------------------------------------------------------
+
+    def _instrument(self, kind: str, suffix: str):
+        """Instrument ``service.suffix`` of ``kind``, looked up once per
+        registry (and created only once something is recorded)."""
+        registry = observe.get_registry()
+        if self._registry is not registry:
+            self._registry, self._instruments = registry, {}
+        instrument = self._instruments.get(suffix)
+        if instrument is None:
+            instrument = self._instruments[suffix] = getattr(registry, kind)(
+                f"service.{suffix}", shard=self.key
+            )
+        return instrument
+
+    def _record(self, new: list[FailureWarning], n_events: int) -> None:
+        if n_events:
+            self._instrument("counter", "events").inc(n_events)
+        if new:
+            self._instrument("counter", "warnings").inc(len(new))
+        self._instrument("gauge", "degraded").set(
+            1.0 if self.session.degraded else 0.0
         )
+
+    def _timed(
+        self, ingest: Callable, arg, n_events: int
+    ) -> list[FailureWarning]:
+        if not self.metered:
+            return ingest(arg)
+        start = time.perf_counter()
+        try:
+            new = ingest(arg)
+        finally:
+            self._instrument("histogram", "ingest").observe(
+                time.perf_counter() - start
+            )
+        self._record(new, n_events)
+        return new
 
     # -- streaming ---------------------------------------------------------
 
     def ingest(self, event: RASEvent) -> list[FailureWarning]:
-        return self._stream.ingest(event)
+        return self._timed(self.session.ingest, event, 1)
 
     def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
-        return self._stream.ingest_batch(events)
+        return self._timed(self.session.ingest_batch, events, len(events))
 
     def ingest_batch_begin(self, events: list[RASEvent]) -> None:
         """Deliver one shard's share of a fleet batch; the warnings wait
         for :meth:`ingest_batch_finish`.  The service begins every
         shard's share before it finishes the first, so a profile sees
         delivery and collection as two layers."""
-        self._pending_batch = self._stream.ingest_batch(events)
+        self._pending_batch = self.ingest_batch(events)
 
     def ingest_batch_finish(self) -> list[FailureWarning]:
         """Collect the warnings from the share begun last."""
@@ -76,10 +119,16 @@ class ShardHandle:
         return out
 
     def advance(self, now: float) -> list[FailureWarning]:
-        return self._stream.advance(now)
+        new = self.session.advance(now)
+        if self.metered:
+            self._record(new, 0)
+        return new
 
     def flush(self) -> list[FailureWarning]:
-        return self._stream.flush()
+        new = self.session.flush()
+        if self.metered:
+            self._record(new, 0)
+        return new
 
     # -- durability and lifecycle ------------------------------------------
 
@@ -103,7 +152,7 @@ class ShardHandle:
         journal.sync()
         journal.fsync_policy = parse_fsync_policy(journal_fsync)
         self.checkpoint()
-        self._stream = self._meter()
+        self.metered = True
 
 
 __all__ = ["CHECKPOINT_NAME", "JOURNAL_DIRNAME", "ShardHandle"]

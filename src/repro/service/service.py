@@ -1,8 +1,8 @@
-"""Multi-stream prediction service: N session cores behind one router.
+"""Multi-stream prediction service: N sessions behind one router.
 
 The paper predicts failures for one Blue Gene/L system; a fleet runs one
 prediction stream per machine/rack.  :class:`PredictionService` hosts N
-:class:`~repro.core.online.OnlinePredictionSession` stacks, routes each
+:class:`~repro.core.online.OnlinePredictionSession` instances, routes each
 event to its shard by a partition key (default: the event's location),
 and owns the fleet-level durability layout so the whole fleet
 checkpoints and recovers as a unit:
@@ -15,7 +15,7 @@ checkpoints and recovers as a unit:
   current router (a reshard or a recovery installs a new router and so
   starts a new memo);
 * **shards** — each shard is a
-  :class:`~repro.service.backends.ShardHandle`: a session stack plus its
+  :class:`~repro.service.backends.ShardHandle`: a session plus its
   metering, in this process;
 * **fleet durability** — under ``fleet_dir`` each shard gets its own
   subdirectory (write-ahead journal + checkpoint file + a tiny
@@ -29,8 +29,8 @@ checkpoints and recovers as a unit:
   victim back from its checkpoint + journal without touching the rest.
 
 Per-shard throughput, latency and degraded-mode state are recorded as
-labeled metrics (``service.events{shard="..."}``) through
-:class:`~repro.observe.wrappers.MeteredSession`.
+labeled metrics (``service.events{shard="..."}``) by each
+:class:`~repro.service.backends.ShardHandle`.
 
 On-disk layout::
 
@@ -180,7 +180,7 @@ class FleetSummary:
 
 
 class PredictionService:
-    """Route a fleet's event stream to N independent session cores.
+    """Route a fleet's event stream to N independent sessions.
 
     Every shard runs in this process.  ``backend`` accepts only
     ``"inproc"``, the one placement left; anything else raises
@@ -376,7 +376,7 @@ class PredictionService:
         """Route one event to its shard; returns that shard's warnings.
 
         A :class:`~repro.faults.FaultInjected` raised by the chaos hook
-        (or from inside the shard's stack, e.g. a journal fault) marks
+        (or from inside the shard's session, e.g. a journal fault) marks
         the shard down and propagates; other shards keep serving.
         """
         with self._lock:
@@ -403,9 +403,11 @@ class PredictionService:
         (:meth:`ShardHandle.ingest_batch_begin`) before the first one's
         warnings are collected.
 
-        Routing is validated atomically up front: if *any* event targets
-        a shard currently marked down, :class:`ShardDown` is raised
-        before anything is applied, mirroring the session layer's
+        Routing and input are validated atomically up front: if *any*
+        event targets a shard currently marked down,
+        :class:`ShardDown` is raised, and if any shard's sub-batch fails
+        its session's origin/time-order check, ``ValueError`` is raised
+        — both before anything is applied, mirroring the session's
         nothing-on-error batch contract.  Failure isolation past that
         point is per shard: a chaos fault killing one shard mid-batch
         propagates after marking only that shard down — sub-batches
@@ -425,13 +427,17 @@ class PredictionService:
             for key in groups:
                 if key in self._down:
                     raise ShardDown(key)
-            plan = faults.active()
-            begun: list[ShardHandle] = []
-            error: faults.FaultInjected | None = None
+            shards: list[ShardHandle] = []
             for key, batch in groups.items():
                 shard = self._shards.get(key)
                 if shard is None:
                     shard = self._make_shard(key)
+                shard.session.validate(batch)
+                shards.append(shard)
+            plan = faults.active()
+            begun: list[ShardHandle] = []
+            error: faults.FaultInjected | None = None
+            for shard, (key, batch) in zip(shards, groups.items()):
                 try:
                     if plan is not None:
                         for event in batch:

@@ -144,7 +144,7 @@ class TestStreamDiscipline:
         session = OnlinePredictionSession(config, catalog=catalog)
         w = session.ingest(make_event(100.0, "KERNEL-N-000"))
         assert w == []
-        assert not session.core.started
+        assert not session.started
 
     def test_out_of_order_rejected(self, catalog, config):
         session = OnlinePredictionSession(config, catalog=catalog)
@@ -174,7 +174,7 @@ class TestStreamDiscipline:
         session = OnlinePredictionSession(config, catalog=catalog)
         for t in (10.0, 20.0, 30.0):
             session.ingest(make_event(t, "KERNEL-N-000"))
-        assert len(session.core.history()) == 3
+        assert len(session.history()) == 3
 
     def test_static_policy_trains_once(self, mid_trace, catalog):
         config = FrameworkConfig(

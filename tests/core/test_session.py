@@ -1,10 +1,10 @@
-"""Unit tests for the pure session core and the wrapper stack.
+"""Unit tests for the pure session core and what is built on it.
 
-The core is the ordered event-at-a-time state machine; everything
-operational (reordering, journaling, metering) composes around it
-through the :class:`StreamSession` protocol.  These tests
-pin the layering contract: each wrapper adds exactly its one concern and
-the stack as a whole behaves like the monolithic session it replaced.
+The core is the ordered event-at-a-time state machine.
+:class:`OnlinePredictionSession` subclasses it with validation, a
+reorder buffer and a write-ahead journal, and a :class:`ShardHandle`
+meters a session for the fleet service.  These tests pin that each of
+those adds exactly its one concern on top of the core's behaviour.
 """
 
 import functools
@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from repro import observe
 from repro.core.framework import FrameworkConfig
 from repro.core.online import OnlinePredictionSession
-from repro.core.session import SessionCore, StreamSession
+from repro.core.session import SessionCore
 from repro.core.windows import TrainingPolicy, static_initial
 from repro.raslog.catalog import default_catalog
-from repro.observe.wrappers import MeteredSession
 from repro.resilience.journal import EventJournal
-from repro.resilience.wrappers import JournalingSession, ReorderingSession
+from repro.service.backends import ShardHandle
 from repro.utils.timeutil import WEEK_SECONDS
 from tests.adapt.conftest import adaptive_config, shift_log
 from tests.conftest import make_event, make_log
@@ -45,22 +44,6 @@ def fast_config(**overrides):
     return FrameworkConfig(
         initial_train_weeks=2, retrain_weeks=2, **overrides
     )
-
-
-class TestProtocol:
-    def test_every_layer_is_a_stream_session(self, catalog, tmp_path):
-        core = SessionCore(fast_config(), catalog=catalog)
-        assert isinstance(core, StreamSession)
-        reordering = ReorderingSession(core, slack=60.0)
-        assert isinstance(reordering, StreamSession)
-        journal = EventJournal(tmp_path / "j", fsync="never")
-        assert isinstance(JournalingSession(reordering, journal), StreamSession)
-        assert isinstance(MeteredSession(core), StreamSession)
-        journal.close()
-
-    def test_facade_is_a_stream_session(self, catalog):
-        session = OnlinePredictionSession(fast_config(), catalog=catalog)
-        assert isinstance(session, StreamSession)
 
 
 class TestSessionCore:
@@ -91,13 +74,21 @@ class TestSessionCore:
         assert summary.n_warnings == len(warnings)
         assert summary.precision > 0.9
 
-    def test_flush_is_a_noop(self, catalog):
-        core = SessionCore(fast_config(), catalog=catalog)
-        assert core.flush() == []
+    def test_flush_is_a_noop(self, catalog, tmp_path):
+        """Without a reorder buffer the session holds nothing back:
+        flush returns nothing and journals nothing."""
+        journal = EventJournal(tmp_path / "j", fsync="never")
+        session = OnlinePredictionSession(
+            fast_config(), catalog=catalog, journal=journal
+        )
+        session.ingest(make_event(100.0, PRECURSOR_A))
+        assert session.flush() == []
+        assert journal.position == 1
+        journal.close()
 
     def test_matches_facade_warning_for_warning(self, catalog):
-        """The facade over a bare core is a pure veneer: identical
-        warnings, retrains and summary."""
+        """The session subclass adds nothing to the engine on an
+        ordered stream: identical warnings, retrains and summary."""
         log = pattern_log()
         core = SessionCore(fast_config(), catalog=catalog)
         session = OnlinePredictionSession(fast_config(), catalog=catalog)
@@ -198,19 +189,20 @@ class TestIngestBatch:
         assert registry.counter("online.events").value == 2
 
     def test_cached_instruments_follow_a_registry_swap(self, catalog, tmp_path):
-        """Layers look their instruments up once per registry: after a
-        ``use_registry`` swap they record into the new registry only."""
-        core = SessionCore(fast_config(), catalog=catalog)
+        """The session and its shard handle look their instruments up
+        once per registry: after a ``use_registry`` swap they record
+        into the new registry only."""
         journal = EventJournal(tmp_path / "j", fsync="always")
-        layer = MeteredSession(
-            JournalingSession(core, journal), prefix="service", shard="R01"
+        session = OnlinePredictionSession(
+            fast_config(), catalog=catalog, journal=journal
         )
+        shard = ShardHandle("R01", 0, None, session)
         events = list(pattern_log(1))[:6]
         first, second = observe.MetricsRegistry(), observe.MetricsRegistry()
         with observe.use_registry(first):
-            layer.ingest_batch(events[:4])
+            shard.ingest_batch(events[:4])
         with observe.use_registry(second):
-            layer.ingest_batch(events[4:])
+            shard.ingest_batch(events[4:])
         journal.close()
         for registry, n in ((first, 4), (second, 2)):
             assert registry.counter("online.events").value == n
@@ -230,73 +222,140 @@ class TestReorderingLayer:
         for event in log:
             straight.ingest(event)
 
-        core = SessionCore(fast_config(), catalog=catalog)
-        layer = ReorderingSession(core, slack=300.0)
+        session = OnlinePredictionSession(
+            fast_config(reorder_slack=300.0), catalog=catalog
+        )
         for event in swapped:
-            layer.ingest(event)
-        layer.flush()
-        assert layer.n_quarantined == 0
-        assert core.warnings == straight.warnings
+            session.ingest(event)
+        session.flush()
+        assert session.n_quarantined == 0
+        assert session.warnings == straight.warnings
 
     def test_quarantines_beyond_slack(self, catalog):
-        core = SessionCore(fast_config(), catalog=catalog)
-        layer = ReorderingSession(core, slack=60.0)
-        layer.ingest(make_event(10_000.0, PRECURSOR_A))
-        layer.ingest(make_event(100.0, PRECURSOR_B))  # hopelessly late
-        layer.flush()
-        assert layer.n_quarantined == 1
-        assert len(layer.quarantined) == 1
-        assert layer.quarantined[0].timestamp == 100.0
+        registry = observe.MetricsRegistry()
+        session = OnlinePredictionSession(
+            fast_config(reorder_slack=60.0), catalog=catalog
+        )
+        with observe.use_registry(registry):
+            session.ingest(make_event(10_000.0, PRECURSOR_A))
+            session.ingest(make_event(100.0, PRECURSOR_B))  # hopelessly late
+            session.flush()
+        assert session.n_quarantined == 1
+        assert len(session.quarantined) == 1
+        assert session.quarantined[0].timestamp == 100.0
+        assert registry.counter("online.quarantined").value == 1
 
 
 class TestJournalingLayer:
     def test_appends_before_delegating(self, catalog, tmp_path):
-        core = SessionCore(fast_config(), catalog=catalog)
+        """``ingest`` appends one record, ``ingest_batch`` appends its
+        events as one group, and a flush is journaled (a reorder buffer
+        exists)."""
+        registry = observe.MetricsRegistry()
         journal = EventJournal(tmp_path / "j", fsync="never")
-        layer = JournalingSession(core, journal)
-        layer.ingest(make_event(100.0, PRECURSOR_A))
-        layer.advance(200.0)
-        layer.flush()
+        session = OnlinePredictionSession(
+            fast_config(reorder_slack=60.0), catalog=catalog, journal=journal
+        )
+        with observe.use_registry(registry):
+            session.ingest(make_event(100.0, PRECURSOR_A))
+            session.advance(200.0)
+            session.flush()
+            session.ingest_batch(
+                [make_event(300.0, PRECURSOR_A), make_event(310.0, PRECURSOR_B)]
+            )
         journal.close()
+        assert registry.counter("journal.appends").value == 5
+        assert registry.counter("journal.batched_appends").value == 2
 
         replayed = [
             record
             for _, record in EventJournal(tmp_path / "j", fsync="never").replay()
         ]
-        assert [r["kind"] for r in replayed] == ["ingest", "advance", "flush"]
+        assert [r["kind"] for r in replayed] == [
+            "ingest", "advance", "flush", "ingest", "ingest"
+        ]
         assert replayed[0]["event"]["timestamp"] == 100.0
         assert replayed[1]["now"] == 200.0
 
-    def test_suppress_skips_the_journal(self, catalog, tmp_path):
-        core = SessionCore(fast_config(), catalog=catalog)
+    def test_rejected_event_is_not_journaled(self, catalog, tmp_path):
         journal = EventJournal(tmp_path / "j", fsync="never")
-        layer = JournalingSession(core, journal)
-        layer.suppress = True
-        layer.ingest(make_event(100.0, PRECURSOR_A))
-        layer.suppress = False
-        layer.ingest(make_event(200.0, PRECURSOR_A))
+        session = OnlinePredictionSession(
+            fast_config(), catalog=catalog, origin=50.0, journal=journal
+        )
+        session.ingest(make_event(100.0, PRECURSOR_A))
+        with pytest.raises(ValueError, match="time order"):
+            session.ingest(make_event(90.0, PRECURSOR_B))
+        with pytest.raises(ValueError, match="precedes the session origin"):
+            session.ingest(make_event(10.0, PRECURSOR_B))
+        assert journal.position == 1
+        assert session.n_ingested == 1
+        journal.close()
+
+    def test_replay_skips_the_journal(self, catalog, tmp_path):
+        """Recovery re-feeds the journal through the public API without
+        appending the replayed records a second time."""
+        journal = EventJournal(tmp_path / "j", fsync="never")
+        session = OnlinePredictionSession(
+            fast_config(reorder_slack=60.0), catalog=catalog, journal=journal
+        )
+        session.ingest(make_event(100.0, PRECURSOR_A))
+        session.advance(150.0)
+        session.flush()
+        journal.close()
+
+        journal = EventJournal(tmp_path / "j", fsync="never")
+        recovered = OnlinePredictionSession.recover(
+            tmp_path / "no.ckpt",
+            journal,
+            fast_config(reorder_slack=60.0),
+            catalog=catalog,
+        )
+        assert recovered.n_ingested == 1
+        assert [e.timestamp for e in recovered.history()] == [100.0]
+        assert journal.position == 3
+        recovered.ingest(make_event(200.0, PRECURSOR_A))
         journal.close()
         replayed = [
             record
             for _, record in EventJournal(tmp_path / "j", fsync="never").replay()
         ]
-        assert [r["event"]["timestamp"] for r in replayed] == [200.0]
+        assert [r["kind"] for r in replayed] == [
+            "ingest", "advance", "flush", "ingest"
+        ]
+        assert replayed[-1]["event"]["timestamp"] == 200.0
 
 
 class TestMeteredLayer:
     def test_records_labeled_series(self, catalog):
         registry = observe.MetricsRegistry()
-        core = SessionCore(fast_config(), catalog=catalog)
-        layer = MeteredSession(
-            core, prefix="service", degraded_of=core, shard="R01"
-        )
+        session = OnlinePredictionSession(fast_config(), catalog=catalog)
+        shard = ShardHandle("R01", 0, None, session)
         with observe.use_registry(registry):
             for event in pattern_log(3):
-                layer.ingest(event)
+                shard.ingest(event)
         events = registry.counter("service.events", shard="R01")
         assert events.value == len(pattern_log(3))
         assert registry.histogram("service.ingest", shard="R01").count > 0
         assert registry.counter("service.warnings", shard="R01").value == len(
-            core.warnings
+            session.warnings
         )
         assert registry.gauge("service.degraded", shard="R01").value == 0.0
+
+    def test_unmetered_until_build_is_finalized(self, catalog, tmp_path):
+        registry = observe.MetricsRegistry()
+        journal = EventJournal(tmp_path / "j", fsync="never")
+        session = OnlinePredictionSession(
+            fast_config(), catalog=catalog, journal=journal
+        )
+        shard = ShardHandle("R01", 0, tmp_path, session, metered=False)
+        with observe.use_registry(registry):
+            shard.ingest(make_event(100.0, PRECURSOR_A))
+            shard.advance(150.0)
+            assert not any(
+                name.startswith("service.") for name in registry.snapshot()
+            )
+            shard.finalize_build("always")
+            shard.ingest_batch([make_event(200.0, PRECURSOR_B)])
+        journal.close()
+        assert registry.counter("service.events", shard="R01").value == 1
+        assert registry.histogram("service.ingest", shard="R01").count == 1

@@ -110,13 +110,13 @@ class TestCrashRecovery:
             OnlinePredictionSession(small_config, catalog=catalog),
             events[:cut],
         )
-        assert not first.core.started
+        assert not first.started
         path = tmp_path / "early.ckpt"
         first.checkpoint(path)
         resumed = OnlinePredictionSession.resume(
             path, small_config, catalog=catalog
         )
-        assert not resumed.core.started
+        assert not resumed.started
         stream(resumed, events[resumed.n_ingested:])
         assert resumed.warnings == reference.warnings
         assert_summaries_equal(resumed.summary(), reference.summary())
@@ -215,10 +215,10 @@ class TestFileHardening:
             ),
         )
         resumed = OnlinePredictionSession.resume(path, catalog=catalog)
-        assert resumed._reordering is not None
-        assert resumed._reordering.buffer.max_seen == float("-inf")
+        assert resumed._reorder_buffer is not None
+        assert resumed._reorder_buffer.max_seen == float("-inf")
         resumed.ingest(small_event := make_event(500.0, "KERNEL-N-000"))
-        assert resumed._reordering.buffer.max_seen == small_event.timestamp
+        assert resumed._reorder_buffer.max_seen == small_event.timestamp
 
     def test_config_round_trips_through_dict(self, small_config):
         clone = config_from_dict(config_to_dict(small_config))

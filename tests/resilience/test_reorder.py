@@ -138,9 +138,9 @@ class TestSessionSlack:
     def test_advance_forces_buffered_events_out(self, catalog, slack_config):
         session = OnlinePredictionSession(slack_config, catalog=catalog)
         session.ingest(ev(50.0))
-        assert len(session.core.history()) == 0  # still buffered
+        assert len(session.history()) == 0  # still buffered
         session.advance(1000.0)
-        assert len(session.core.history()) == 1
+        assert len(session.history()) == 1
 
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError, match="reorder_slack"):
@@ -163,9 +163,9 @@ class TestSessionSlack:
         assert [e.timestamp for e in session.quarantined] == [98.0]
         session.ingest(ev(120.0))
         session.flush()
-        times = [e.timestamp for e in session.core.history()]
+        times = [e.timestamp for e in session.history()]
         assert times == sorted(times) == [100.0, 120.0]
-        assert session.core.last_time == 120.0
+        assert session.last_time == 120.0
 
     def test_advance_backwards_raises_before_draining(
         self, catalog, slack_config
@@ -175,10 +175,10 @@ class TestSessionSlack:
         session.ingest(ev(100.0))
         session.ingest(ev(200.0))
         session.advance(150.0)
-        assert [e.timestamp for e in session.core.history()] == [100.0]
+        assert [e.timestamp for e in session.history()] == [100.0]
         with pytest.raises(ValueError, match="clock moved backwards"):
             session.advance(50.0)
         # 200.0 is still buffered; the failed call drained nothing
-        assert [e.timestamp for e in session.core.history()] == [100.0]
+        assert [e.timestamp for e in session.history()] == [100.0]
         session.advance(250.0)
-        assert [e.timestamp for e in session.core.history()] == [100.0, 200.0]
+        assert [e.timestamp for e in session.history()] == [100.0, 200.0]

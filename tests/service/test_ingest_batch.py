@@ -77,6 +77,43 @@ class TestIngestBatch:
         assert LOCS[1] not in service.shard_keys
         service.close()
 
+    def test_rejected_batch_applies_to_no_shard(self, catalog, tmp_path):
+        """A sub-batch one shard's session rejects (time order) fails
+        the whole batch before any shard, even one routed earlier in
+        the batch, ingests or journals anything."""
+        service = PredictionService(
+            fast_config(), catalog=catalog, fleet_dir=tmp_path / "fleet"
+        )
+        service.ingest(make_event(50.0, "KERNEL-N-002", location=LOCS[0]))
+        service.ingest(make_event(500.0, "KERNEL-N-002", location=LOCS[1]))
+
+        def state():
+            return {
+                key: (
+                    service.session(key).n_ingested,
+                    len(service.warnings(key)),
+                    service.session(key).journal.position,
+                )
+                for key in service.shard_keys
+            }
+
+        before = state()
+        batch = [
+            make_event(100.0, "KERNEL-N-003", location=LOCS[0]),
+            make_event(200.0, "KERNEL-N-003", location=LOCS[1]),
+        ]
+        with pytest.raises(ValueError, match="time order"):
+            service.ingest_batch(batch)
+        assert state() == before
+        # A per-event retry ingests the accepted event exactly once.
+        service.ingest(batch[0])
+        with pytest.raises(ValueError, match="time order"):
+            service.ingest(batch[1])
+        assert service.session(LOCS[0]).n_ingested == 2
+        assert service.session(LOCS[0]).journal.position == 2
+        assert service.session(LOCS[1]).n_ingested == 1
+        service.close()
+
     def test_mid_batch_fault_isolates_to_its_shard(self, catalog, tmp_path):
         service = PredictionService(
             fast_config(), catalog=catalog, fleet_dir=tmp_path / "fleet"

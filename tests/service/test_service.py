@@ -377,8 +377,8 @@ class TestShardIsolation:
                 service.ingest(make_event(120.0, PRECURSOR_B, location=victim))
         assert service.advance(500.0) == []
         assert service.flush() == []
-        assert service.session(LOCS[1]).core.last_time == 500.0
-        assert service.session(victim).core.last_time == 100.0
+        assert service.session(LOCS[1]).last_time == 500.0
+        assert service.session(victim).last_time == 100.0
         service.close()
 
 
