@@ -58,7 +58,33 @@ __all__ = [
     "OnlinePredictionSession",
     "QUARANTINE_KEEP",
     "SessionSummary",
+    "check_events",
 ]
+
+
+def check_events(
+    events: Iterable[RASEvent], origin: float, last: float, ordered: bool
+) -> None:
+    """Raise ``ValueError`` if an event precedes ``origin`` or, when
+    ``ordered``, precedes ``last`` or the event before it.
+
+    The session's validation rule, as a function of its clock: a fresh
+    session's clock is its origin, so a service checks a shard it has
+    not created yet with ``last=origin``.
+    """
+    for event in events:
+        t = event.timestamp
+        if t < origin:
+            raise ValueError(
+                f"event at {t} precedes the session origin {origin}"
+            )
+        if ordered:
+            if t < last:
+                raise ValueError(
+                    f"events must arrive in time order ({t} < {last})"
+                )
+            last = t
+
 
 class OnlinePredictionSession(SessionCore):
     """Event-at-a-time interface to the prediction engine.
@@ -110,40 +136,33 @@ class OnlinePredictionSession(SessionCore):
     def ingest(self, event: RASEvent) -> list[FailureWarning]:
         """Feed one event; returns any warnings it (or the timer) raised.
 
-        With ``config.reorder_slack == 0`` (the default) events must
-        arrive in time order and a regression raises ``ValueError``.
-        With a positive slack, out-of-order events within the slack are
+        A batch of one (:meth:`ingest_batch`).  With
+        ``config.reorder_slack == 0`` (the default) events must arrive
+        in time order and a regression raises ``ValueError``.  With a
+        positive slack, out-of-order events within the slack are
         buffered and re-sequenced — the returned warnings then belong to
         whichever earlier events cleared the buffer — and events later
         than the slack are quarantined (counted, kept in
         :attr:`quarantined`, never raised).  Call :meth:`flush` at end of
         stream to drain the buffer.
-
-        Validation happens before the journal: a rejected event is
-        deliberately never journaled — replaying it would abort recovery
-        with the same error.
         """
-        self.validate((event,))
-        if self.journal is not None and not self._replaying:
-            self.journal.append({"kind": "ingest", "event": event.as_dict()})
-        new = self._feed((event,))
-        self.n_ingested += 1
-        return new
+        return self.ingest_batch([event])
 
     def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
         """Feed a batch of events; returns warnings in ingest order.
 
-        Semantically equivalent to calling :meth:`ingest` per event,
-        but with journaling enabled the whole batch is made durable by a
+        With journaling enabled the whole batch is made durable by a
         single group commit (one write + one fsync) before the first
         event may change state, instead of one fsync per event — the
         dominant per-event cost under ``journal_fsync="always"``.
 
-        Validation is atomic over the batch: every event is checked
-        against the origin and (without reorder slack) time order
-        *before* any is journaled or processed, so a bad batch raises
-        ``ValueError`` having changed nothing — there is no partially
-        applied prefix to reason about on retry.
+        Validation is atomic over the batch and happens before the
+        journal: every event is checked against the origin and (without
+        reorder slack) time order *before* any is journaled or
+        processed, so a bad batch raises ``ValueError`` having changed
+        nothing — there is no partially applied prefix to reason about
+        on retry, and a rejected event is never journaled (replaying it
+        would abort recovery with the same error).
         """
         if not events:
             return []
@@ -159,21 +178,9 @@ class OnlinePredictionSession(SessionCore):
     def validate(self, events: Iterable[RASEvent]) -> None:
         """Raise ``ValueError`` if any event precedes the origin or
         (without reorder slack) breaks time order; changes nothing."""
-        last = self._last_time
-        origin = self.origin
-        ordered = self._reorder_buffer is None
-        for event in events:
-            t = event.timestamp
-            if t < origin:
-                raise ValueError(
-                    f"event at {t} precedes the session origin {origin}"
-                )
-            if ordered:
-                if t < last:
-                    raise ValueError(
-                        f"events must arrive in time order ({t} < {last})"
-                    )
-                last = t
+        check_events(
+            events, self.origin, self._last_time, self._reorder_buffer is None
+        )
 
     def _feed(self, events: Iterable[RASEvent]) -> list[FailureWarning]:
         """Hand validated events to the engine loop, through the reorder

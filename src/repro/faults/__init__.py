@@ -243,11 +243,13 @@ class FaultPlan:
     def on_journal_append(
         self, index: int, framed: bytes
     ) -> tuple[bytes, str | None]:
-        """Hook: called by ``EventJournal.append`` with the framed record.
+        """Hook: called by ``EventJournal.append_batch`` once per framed
+        record, with the record's global index.
 
         Returns ``(bytes_to_write, kill_message)``.  A non-None kill
-        message tells the journal to write the (partial) bytes, close
-        itself and raise :class:`FaultInjected` — the torn-write crash.
+        message tells the journal to write the batch's frames before
+        this one plus the (partial) bytes, close itself and raise
+        :class:`FaultInjected` — the torn-write crash.
         A bit flip mutates the bytes and lets the append succeed.
         """
         for fault in self.journal_faults:

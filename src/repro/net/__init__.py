@@ -11,15 +11,14 @@ in-process loop.  This package is that surface:
   front-end with per-shard micro-batching, bounded queues with explicit
   shed-load responses, warning fan-out to subscribers, and graceful
   drain-checkpoint-exit (behind ``repro serve``);
-* :mod:`repro.net.client` — :class:`PredictionClient` (blocking) and
-  :class:`AsyncPredictionClient` (asyncio), both tracking the
-  unacknowledged tail a producer must replay after a failover, and both
-  retrying transient rejections (``overloaded`` / ``shard-down``) with
-  jittered exponential backoff (:class:`RetryPolicy`).
+* :mod:`repro.net.client` — :class:`PredictionClient`, the one
+  (blocking-socket) client: it tracks the unacknowledged tail a
+  producer must replay after a failover and retries transient
+  rejections (``overloaded`` / ``shard-down``) with jittered
+  exponential backoff (:class:`RetryPolicy`).
 """
 
 from repro.net.client import (
-    AsyncPredictionClient,
     PredictionClient,
     Rejected,
     RetryPolicy,
@@ -35,7 +34,6 @@ from repro.net.protocol import (
 from repro.net.server import PredictionServer, serve_in_thread
 
 __all__ = [
-    "AsyncPredictionClient",
     "FrameBuffer",
     "MAX_FRAME_BYTES",
     "PredictionClient",

@@ -1,20 +1,19 @@
-"""Client libraries for the serving front-end.
+"""Client library for the serving front-end.
 
-Two clients over the same ndjson protocol (:mod:`repro.net.protocol`):
+:class:`PredictionClient` speaks the ndjson protocol
+(:mod:`repro.net.protocol`) over blocking sockets, for producer scripts,
+tests and the load benchmark.  It supports *pipelined* ingest: queue
+many events with :meth:`~PredictionClient.send_event` (bounded by
+``window`` outstanding acks) and collect results with
+:meth:`~PredictionClient.wait_all`.
 
-* :class:`PredictionClient` — blocking sockets, for producer scripts,
-  tests and the load benchmark.  Supports *pipelined* ingest: queue many
-  events with :meth:`send_event` (bounded by ``window`` outstanding
-  acks) and collect results with :meth:`wait_all`;
-* :class:`AsyncPredictionClient` — the same surface on asyncio streams,
-  for callers already living on an event loop.
-
-Both track the **unacknowledged tail**: every sent-but-unanswered event
-stays in an ordered map until its ack arrives.  If the connection dies —
-the server crashed, drained, or dropped it — :attr:`unacked_events`
-holds exactly the events the server never accepted, in send order.
-Replaying that tail against a recovered server is the client half of the
-lossless-handoff contract (the server half is ack-after-commit).
+The client tracks the **unacknowledged tail**: every sent-but-unanswered
+event stays in an ordered map until its ack arrives.  If the connection
+dies — the server crashed, drained, or dropped it —
+:attr:`~PredictionClient.unacked_events` holds exactly the events the
+server never accepted, in send order.  Replaying that tail against a
+recovered server is the client half of the lossless-handoff contract
+(the server half is ack-after-commit).
 
 Responses other than ``ack`` surface as :class:`Rejected` entries
 (``overloaded`` and typed ``error`` frames both land there), so a
@@ -32,7 +31,6 @@ against its successor instead.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 import time
@@ -111,7 +109,8 @@ class RetryPolicy:
 
 
 class _ClientCore:
-    """Protocol bookkeeping shared by the sync and async clients."""
+    """The client's socket-free protocol ledger: sequence numbers, the
+    unacknowledged tail, rejections and pushed warnings."""
 
     def __init__(self) -> None:
         self._seq = 0
@@ -436,176 +435,7 @@ class PredictionClient:
         return [warning_from_dict(d) for d in self.core.warnings]
 
 
-class AsyncPredictionClient:
-    """The same client surface on asyncio streams."""
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-        window: int = DEFAULT_WINDOW,
-        retry: RetryPolicy | None = RetryPolicy(),
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.window = window
-        self.retry = retry
-        self.core = _ClientCore()
-        self._buffer = FrameBuffer()
-        self._frames: list[dict[str, Any]] = []
-        self._attempts: dict[int, int] = {}
-        self._rng = random.Random()
-
-    @classmethod
-    async def connect(
-        cls, host: str, port: int, window: int = DEFAULT_WINDOW,
-        retry: RetryPolicy | None = RetryPolicy(),
-    ) -> "AsyncPredictionClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, window=window, retry=retry)
-
-    async def close(self) -> None:
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncPredictionClient":
-        return self
-
-    async def __aexit__(self, *exc: object) -> None:
-        await self.close()
-
-    async def _send(self, frame: dict[str, Any]) -> None:
-        self.writer.write(protocol.encode_frame(frame))
-        await self.writer.drain()
-
-    async def _recv_frame(self) -> dict[str, Any]:
-        while True:
-            while self._frames:
-                frame = self.core.note_response(self._frames.pop(0))
-                if frame is not None:
-                    return frame
-            data = await self.reader.read(65536)
-            if not data:
-                raise ServerClosed("server closed the connection")
-            for line in self._buffer.feed(data):
-                if line is None:
-                    raise ProtocolError(
-                        protocol.ERR_FRAME_TOO_LARGE, "oversized server frame"
-                    )
-                self._frames.append(protocol.decode_frame(line))
-
-    async def _request(self, frame: dict[str, Any]) -> dict[str, Any]:
-        seq = frame["seq"]
-        await self._send(frame)
-        while True:
-            response = await self._recv_frame()
-            if response.get("seq") == seq:
-                if response.get("type") == "error":
-                    raise ProtocolError(
-                        response.get("code", protocol.ERR_INTERNAL),
-                        response.get("error", "server error"),
-                    )
-                return response
-
-    @property
-    def unacked_events(self) -> list[RASEvent]:
-        return self.core.unacked_events
-
-    @property
-    def rejected(self) -> list[Rejected]:
-        return self.core.rejected
-
-    @property
-    def warnings(self) -> list[dict[str, Any]]:
-        return self.core.warnings
-
-    async def send_event(self, event: RASEvent) -> int:
-        while self.core.n_unacked >= self.window:
-            await self._recv_frame()
-        seq = self.core.next_seq()
-        self.core._unacked[seq] = event
-        await self._send(
-            {"type": "ingest", "seq": seq, "event": event.as_dict()}
-        )
-        return seq
-
-    async def wait_all(self) -> list[Rejected]:
-        final: list[Rejected] = []
-        pending: list[tuple[Rejected, int]] = []
-        try:
-            while True:
-                while self.core.n_unacked:
-                    await self._recv_frame()
-                rejected, self.core.rejected = self.core.rejected, []
-                for rej in rejected:
-                    attempts = self._attempts.pop(rej.seq, 1)
-                    if (
-                        self.retry is not None
-                        and rej.transient
-                        and attempts < self.retry.max_attempts
-                    ):
-                        pending.append((rej, attempts))
-                    else:
-                        final.append(rej)
-                self._attempts.clear()
-                if not pending:
-                    return final
-                await asyncio.sleep(
-                    max(self.retry.delay(a, self._rng) for _, a in pending)
-                )
-                while pending:
-                    rej, attempts = pending[0]
-                    seq = await self.send_event(rej.event)
-                    pending.pop(0)
-                    self._attempts[seq] = attempts + 1
-        except BaseException:
-            inflight = {id(e) for e in self.core._unacked.values()}
-            self.core.rejected[:0] = final + [
-                rej for rej, _ in pending if id(rej.event) not in inflight
-            ]
-            raise
-
-    async def stream(self, events: list[RASEvent]) -> int:
-        for event in events:
-            await self.send_event(event)
-        return len(events) - len(await self.wait_all())
-
-    async def advance(self, now: float) -> list[dict[str, Any]]:
-        response = await self._request(
-            {"type": "advance", "seq": self.core.next_seq(), "now": now}
-        )
-        return response.get("warnings", [])
-
-    async def flush(self) -> list[dict[str, Any]]:
-        response = await self._request(
-            {"type": "flush", "seq": self.core.next_seq()}
-        )
-        return response.get("warnings", [])
-
-    async def metrics(self) -> dict[str, Any]:
-        return (
-            await self._request(
-                {"type": "metrics", "seq": self.core.next_seq()}
-            )
-        )["metrics"]
-
-    async def health(self) -> dict[str, Any]:
-        return await self._request(
-            {"type": "health", "seq": self.core.next_seq()}
-        )
-
-    async def fleet_status(self) -> dict[str, Any]:
-        return await self._request(
-            {"type": "fleet", "seq": self.core.next_seq(), "action": "status"}
-        )
-
-    async def subscribe(self) -> None:
-        await self._request({"type": "subscribe", "seq": self.core.next_seq()})
-
-
 __all__ = [
-    "AsyncPredictionClient",
     "DEFAULT_WINDOW",
     "PredictionClient",
     "Rejected",

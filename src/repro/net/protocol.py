@@ -5,7 +5,7 @@ format cluster log shippers (syslog relays, LogMaster-style collector
 agents) already speak, so any language with a socket and a JSON encoder
 can produce events.  The full frame reference with examples lives in
 ``docs/protocol.md``; this module is the single source of truth for
-frame *shapes* shared by the server and both clients.
+frame *shapes* shared by the server and the client.
 
 Request frames (client -> server), all carrying a client-chosen ``seq``
 echoed back on the response::

@@ -785,7 +785,6 @@ class PredictionServer:
         for key in plan:
             await self._run_engine(self.service.restart_shard, key)
             restarted.append(key)
-            observe.counter("net.rolling_restarts", shard=key).inc()
         return restarted
 
 

@@ -45,11 +45,16 @@ _BRACKET_TAIL = re.compile(r"\s*\[[^\]]*\]$")
 _NUMERIC_TAIL = re.compile(r"\s*(0x[0-9a-f]+|\d+)$")
 
 
+def _fold(text: str) -> str:
+    """Case- and whitespace-insensitive form of a description."""
+    return _WS.sub(" ", text.strip().lower())
+
+
 def normalize_description(text: str) -> str:
-    """Canonical form used for description lookup: case- and
-    whitespace-insensitive, with trailing numeric details stripped
-    (e.g. ``"ddr error ... at 0x0bc0"`` → the generic type text)."""
-    text = _WS.sub(" ", text.strip().lower())
+    """Fallback form for description lookup: :func:`_fold`, with
+    trailing numeric details stripped (e.g. ``"ddr error ... at 0x0bc0"``
+    → the generic type text)."""
+    text = _fold(text)
     # Strip bracketed or hex/numeric tails that encode per-instance detail.
     text = _BRACKET_TAIL.sub("", text)
     text = _NUMERIC_TAIL.sub("", text)
@@ -120,9 +125,16 @@ class Categorizer:
             raise ValueError(f"unknown policy must be skip/error/keep, got {unknown!r}")
         self.catalog = catalog or default_catalog()
         self.unknown = unknown
-        self._by_key: dict[tuple[Facility, str], EventType] = {}
-        for t in self.catalog:
-            self._by_key[(t.facility, normalize_description(t.description))] = t
+        # A description is looked up as written first: catalog types may
+        # differ only in a numeric tail ("kernel fatal condition class
+        # 007"), so tails are stripped only when that lookup misses.
+        self._by_description = {
+            (t.facility, _fold(t.description)): t for t in self.catalog
+        }
+        self._by_stripped = {
+            (t.facility, normalize_description(t.description)): t
+            for t in self.catalog
+        }
         # Codes are also accepted as-is so already-categorized logs pass
         # through unchanged (idempotence).
         self._codes = {t.code for t in self.catalog}
@@ -130,7 +142,12 @@ class Categorizer:
     def _lookup(self, facility: Facility, text: str) -> EventType | None:
         if text in self._codes:
             return self.catalog.get(text)
-        return self._by_key.get((facility, normalize_description(text)))
+        etype = self._by_description.get((facility, _fold(text)))
+        if etype is None:
+            etype = self._by_stripped.get(
+                (facility, normalize_description(text))
+            )
+        return etype
 
     def classify(self, event: RASEvent) -> EventType | None:
         """Find the low-level type of a record, or None when unmatched."""

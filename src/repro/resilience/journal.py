@@ -27,15 +27,17 @@ recovery can tell the two corruption modes apart:
 
 Durability is tunable per deployment through the fsync policy:
 ``"always"`` (fsync every append — survives power loss), a positive
-integer N (fsync every N appends — bounded loss window on power loss),
+integer N (fsync every N records — bounded loss window on power loss),
 or ``"never"`` (OS page cache only — survives process crashes, not power
-loss).  Appends use raw ``os.write`` on the segment fd, so even under
-``"never"`` a killed *process* loses nothing that ``append`` returned
-for.  After a checkpoint, :meth:`compact` deletes segments wholly
-covered by it.
+loss).  :meth:`EventJournal.append_batch` is the one write path (a
+single record is a batch of one): each batch is one raw ``os.write`` on
+the segment fd, so even under ``"never"`` a killed *process* loses
+nothing that an append returned for, and under ``"always"`` one fsync
+commits the whole batch.  After a checkpoint, :meth:`compact` deletes
+segments wholly covered by it.
 
-Counters (current :mod:`repro.observe` registry): ``journal.appends``,
-``journal.fsyncs``, ``journal.torn_tail_truncated``,
+Counters (current :mod:`repro.observe` registry): ``journal.appends``
+(records written), ``journal.fsyncs``, ``journal.torn_tail_truncated``,
 ``journal.replayed_events``, ``journal.compacted_segments``.
 """
 
@@ -261,14 +263,13 @@ class EventJournal:
     # -- appending ---------------------------------------------------------
 
     def _instruments(self) -> "tuple[observe.Counter, ...]":
-        """``journal.appends``, ``.batched_appends`` and ``.fsyncs``,
-        looked up once per registry."""
+        """``journal.appends`` and ``journal.fsyncs``, looked up once
+        per registry."""
         registry = observe.get_registry()
         if self._registry is not registry:
             self._registry = registry
             self._counters = (
                 registry.counter("journal.appends"),
-                registry.counter("journal.batched_appends"),
                 registry.counter("journal.fsyncs"),
             )
         return self._counters
@@ -296,70 +297,66 @@ class EventJournal:
     def append(self, record: dict[str, Any]) -> int:
         """Frame, checksum and write one record; returns the new position.
 
-        The write is a single raw ``os.write`` (no user-space buffering),
-        so a process crash immediately after ``append`` returns loses
-        nothing; whether a *power* loss can is governed by the fsync
-        policy.
+        A batch of one (:meth:`append_batch`): the same framing, write,
+        sync and rotation.
         """
-        if self._fd is None:
-            raise JournalError("journal is closed")
-        payload = _ENCODER.encode(record).encode("utf-8")
-        framed = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        plan = faults.active()
-        kill_message = None
-        if plan is not None:
-            framed, kill_message = plan.on_journal_append(self._position, framed)
-        os.write(self._fd, framed)
-        if kill_message is not None:
-            # Simulated crash mid-write: the partial bytes are on disk
-            # and this journal is dead, exactly like the real process.
-            os.close(self._fd)
-            self._fd = None
-            raise faults.FaultInjected(kill_message)
-        self._position += 1
-        self._segment_size += len(framed)
-        self._instruments()[0].inc()
-        self._maybe_sync()
-        if self._segment_size >= self.segment_bytes:
-            self._rotate()
-        return self._position
+        return self.append_batch([record])
 
     def append_batch(self, records: "list[dict[str, Any]]") -> int:
-        """Frame and write a batch with one ``os.write`` + one group fsync.
+        """Frame and write ``records`` with one ``os.write``; returns the
+        new position.
 
-        Group commit: under ``fsync="always"`` the whole batch is made
-        durable by a *single* fsync instead of one per record, which is
-        where the per-event WAL overhead lives.  Durability semantics
-        are unchanged — the batch is written (and synced) before any of
-        its records is processed, and a crash mid-write leaves a torn
-        tail whose truncated suffix was never durable, exactly as with
-        per-record appends; recovery replays the committed prefix and
-        the source re-delivers the rest.
+        The write is raw (no user-space buffering), so a process crash
+        right after this returns loses nothing; whether a *power* loss
+        can is governed by the fsync policy.  Group commit: under
+        ``fsync="always"`` the whole batch is made durable by a *single*
+        fsync, which is where the per-event WAL overhead lives.  The
+        batch is written (and synced) before any of its records is
+        processed, and a crash mid-write leaves a torn tail whose
+        truncated suffix was never durable; recovery replays the
+        committed prefix and the source re-delivers the rest.  A segment
+        that reaches ``segment_bytes`` rotates after the batch.
 
-        With a fault-injection plan active, falls back to per-record
-        :meth:`append` so ``on_journal_append`` hooks still see every
-        record index.
+        With a fault-injection plan active, ``on_journal_append`` sees
+        every record at its index; a torn fault on the batch's record k
+        writes the k frames before it plus the kept bytes, closes the
+        journal at the position after those k and raises
+        :class:`~repro.faults.FaultInjected`.
         """
         if self._fd is None:
             raise JournalError("journal is closed")
         if not records:
-            return self._position
-        if faults.active() is not None:
-            for record in records:
-                self.append(record)
             return self._position
         frames = []
         encode, pack, crc32 = _ENCODER.encode, _HEADER.pack, zlib.crc32
         for record in records:
             payload = encode(record).encode("utf-8")
             frames.append(pack(len(payload), crc32(payload)) + payload)
+        kill_message = None
+        plan = faults.active()
+        if plan is not None:
+            for i, framed in enumerate(frames):
+                frames[i], kill_message = plan.on_journal_append(
+                    self._position + i, framed
+                )
+                if kill_message is not None:
+                    del frames[i + 1 :]
+                    break
         buffer = b"".join(frames)
         os.write(self._fd, buffer)
+        appends, _ = self._instruments()
+        if kill_message is not None:
+            # Simulated crash mid-write: the frames before the torn one
+            # are committed, the partial bytes are on disk, and this
+            # journal is dead, exactly like the real process.
+            self._position += len(frames) - 1
+            appends.inc(len(frames) - 1)
+            os.close(self._fd)
+            self._fd = None
+            raise faults.FaultInjected(kill_message)
         self._position += len(frames)
         self._segment_size += len(buffer)
-        appends, batched, _ = self._instruments()
         appends.inc(len(frames))
-        batched.inc(len(frames))
         policy = self.fsync_policy
         if policy == "always":
             self.sync()
@@ -371,24 +368,13 @@ class EventJournal:
             self._rotate()
         return self._position
 
-    def _maybe_sync(self) -> None:
-        policy = self.fsync_policy
-        if policy == "never":
-            return
-        if policy == "always":
-            self.sync()
-            return
-        self._appends_since_sync += 1
-        if self._appends_since_sync >= policy:
-            self.sync()
-
     def sync(self) -> None:
         """Force the current segment to stable storage."""
         if self._fd is None:
             return
         os.fsync(self._fd)
         self._appends_since_sync = 0
-        self._instruments()[2].inc()
+        self._instruments()[1].inc()
 
     def _rotate(self) -> None:
         assert self._fd is not None

@@ -12,7 +12,6 @@ through the handle and read through ``handle.session``.
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 from repro import observe
 from repro.alerts import FailureWarning
@@ -29,7 +28,7 @@ class ShardHandle:
 
     A metered handle records, labeled ``shard=key``:
 
-    * ``service.ingest`` — latency histogram of each ingest call;
+    * ``service.ingest`` — latency histogram of each batch ingest;
     * ``service.events`` — ingested-event counter;
     * ``service.warnings`` — raised-warning counter;
     * ``service.degraded`` — 1.0 while a retraining is owed.
@@ -83,28 +82,20 @@ class ShardHandle:
             1.0 if self.session.degraded else 0.0
         )
 
-    def _timed(
-        self, ingest: Callable, arg, n_events: int
-    ) -> list[FailureWarning]:
+    # -- streaming ---------------------------------------------------------
+
+    def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
         if not self.metered:
-            return ingest(arg)
+            return self.session.ingest_batch(events)
         start = time.perf_counter()
         try:
-            new = ingest(arg)
+            new = self.session.ingest_batch(events)
         finally:
             self._instrument("histogram", "ingest").observe(
                 time.perf_counter() - start
             )
-        self._record(new, n_events)
+        self._record(new, len(events))
         return new
-
-    # -- streaming ---------------------------------------------------------
-
-    def ingest(self, event: RASEvent) -> list[FailureWarning]:
-        return self._timed(self.session.ingest, event, 1)
-
-    def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
-        return self._timed(self.session.ingest_batch, events, len(events))
 
     def ingest_batch_begin(self, events: list[RASEvent]) -> None:
         """Deliver one shard's share of a fleet batch; the warnings wait

@@ -55,7 +55,7 @@ from pathlib import Path
 from repro import faults, observe
 from repro.alerts import FailureWarning
 from repro.core.config import FrameworkConfig
-from repro.core.online import OnlinePredictionSession
+from repro.core.online import OnlinePredictionSession, check_events
 from repro.core.session import SessionSummary
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.events import RASEvent
@@ -350,15 +350,6 @@ class PredictionService:
         )
         return ShardHandle(key, index, directory, session)
 
-    def _shard_for(self, event: RASEvent) -> ShardHandle:
-        key = self.shard_key(event)
-        if key in self._down:
-            raise ShardDown(key)
-        shard = self._shards.get(key)
-        if shard is None:
-            shard = self._make_shard(key)
-        return shard
-
     def _mark_down(self, shard: ShardHandle) -> None:
         """A shard died: seal what remains, keep serving the rest.
 
@@ -375,22 +366,9 @@ class PredictionService:
     def ingest(self, event: RASEvent) -> list[FailureWarning]:
         """Route one event to its shard; returns that shard's warnings.
 
-        A :class:`~repro.faults.FaultInjected` raised by the chaos hook
-        (or from inside the shard's session, e.g. a journal fault) marks
-        the shard down and propagates; other shards keep serving.
+        A batch of one (:meth:`ingest_batch`).
         """
-        with self._lock:
-            self._require_open()
-            shard = self._shard_for(event)
-            shard.routed += 1
-            plan = faults.active()
-            try:
-                if plan is not None:
-                    plan.on_shard_event(shard.key, shard.routed)
-                return shard.ingest(event)
-            except faults.FaultInjected:
-                self._mark_down(shard)
-                raise
+        return self.ingest_batch([event])
 
     def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
         """Route a batch of events; returns all new warnings.
@@ -407,12 +385,15 @@ class PredictionService:
         event targets a shard currently marked down,
         :class:`ShardDown` is raised, and if any shard's sub-batch fails
         its session's origin/time-order check, ``ValueError`` is raised
-        — both before anything is applied, mirroring the session's
-        nothing-on-error batch contract.  Failure isolation past that
-        point is per shard: a chaos fault killing one shard mid-batch
-        propagates after marking only that shard down — sub-batches
-        already delivered to *other* shards stay applied, because each
-        shard is an independent stream.
+        — both before anything is applied (a shard the batch would
+        create is checked by a fresh session's rule and made only once
+        every sub-batch passed), mirroring the session's nothing-on-error
+        batch contract.  Failure isolation past that point is per shard:
+        a :class:`~repro.faults.FaultInjected` from the chaos hook or
+        from inside a shard's session (a journal fault, say) marks only
+        that shard down and propagates — sub-batches already delivered
+        to *other* shards stay applied, because each shard is an
+        independent stream.
         """
         with self._lock:
             self._require_open()
@@ -427,13 +408,17 @@ class PredictionService:
             for key in groups:
                 if key in self._down:
                     raise ShardDown(key)
-            shards: list[ShardHandle] = []
+            ordered = self.config.reorder_slack == 0
             for key, batch in groups.items():
                 shard = self._shards.get(key)
                 if shard is None:
-                    shard = self._make_shard(key)
-                shard.session.validate(batch)
-                shards.append(shard)
+                    check_events(batch, self.origin, self.origin, ordered)
+                else:
+                    shard.session.validate(batch)
+            shards = [
+                self._shards.get(key) or self._make_shard(key)
+                for key in groups
+            ]
             plan = faults.active()
             begun: list[ShardHandle] = []
             error: faults.FaultInjected | None = None

@@ -16,8 +16,8 @@ served fleet whose whole purpose is riding out the failures it predicts.
   routed to it keep failing per-event (the serving layer answers
   ``shard_down`` for exactly those events while the rest of the batch
   commits), until an operator calls :meth:`release`;
-* **rolling restart** — :meth:`rolling_restart` drains/checkpoints/
-  rejoins the fleet's shards one at a time through
+* **rolling restart** — :meth:`restart_plan` names the shards a
+  rolling restart drains/checkpoints/rejoins one at a time through
   :meth:`PredictionService.restart_shard`, proving each shard's durable
   state can carry it while the rest keep serving.
 
@@ -243,23 +243,15 @@ class ShardSupervisor:
             entry.pending = True
         self._update_gauge()
 
-    def rolling_restart(self) -> list[str]:
-        """Restart every up shard, one at a time; returns the keys done.
+    def restart_plan(self) -> list[str]:
+        """The shards a rolling restart touches, in order.
 
         Down and quarantined shards are skipped — a rolling restart
         proves the *healthy* fleet's durable state, it is not a recovery
-        tool.  The serving layer interleaves these per-shard calls with
-        live traffic, so the fleet keeps accepting throughout.
+        tool.  The serving layer restarts each planned shard with
+        :meth:`PredictionService.restart_shard` in its own engine call,
+        so the fleet keeps accepting traffic throughout.
         """
-        restarted: list[str] = []
-        for key in self.restart_plan():
-            self.service.restart_shard(key)
-            restarted.append(key)
-            observe.counter("fleet.rolling_restarts", shard=key).inc()
-        return restarted
-
-    def restart_plan(self) -> list[str]:
-        """The shards :meth:`rolling_restart` would touch, in order."""
         down = self.service.down_shards
         return [
             key

@@ -249,10 +249,10 @@ class TestReorderingLayer:
 class TestJournalingLayer:
     def test_appends_before_delegating(self, catalog, tmp_path):
         """``ingest`` appends one record, ``ingest_batch`` appends its
-        events as one group, and a flush is journaled (a reorder buffer
-        exists)."""
+        events as one group commit, and a flush is journaled (a reorder
+        buffer exists)."""
         registry = observe.MetricsRegistry()
-        journal = EventJournal(tmp_path / "j", fsync="never")
+        journal = EventJournal(tmp_path / "j", fsync="always")
         session = OnlinePredictionSession(
             fast_config(reorder_slack=60.0), catalog=catalog, journal=journal
         )
@@ -265,7 +265,9 @@ class TestJournalingLayer:
             )
         journal.close()
         assert registry.counter("journal.appends").value == 5
-        assert registry.counter("journal.batched_appends").value == 2
+        # One fsync each for the ingest, advance and flush records, and
+        # one for the 2-event batch (close() syncs outside the registry).
+        assert registry.counter("journal.fsyncs").value == 4
 
         replayed = [
             record
@@ -332,7 +334,7 @@ class TestMeteredLayer:
         shard = ShardHandle("R01", 0, None, session)
         with observe.use_registry(registry):
             for event in pattern_log(3):
-                shard.ingest(event)
+                shard.ingest_batch([event])
         events = registry.counter("service.events", shard="R01")
         assert events.value == len(pattern_log(3))
         assert registry.histogram("service.ingest", shard="R01").count > 0
@@ -349,7 +351,7 @@ class TestMeteredLayer:
         )
         shard = ShardHandle("R01", 0, tmp_path, session, metered=False)
         with observe.use_registry(registry):
-            shard.ingest(make_event(100.0, PRECURSOR_A))
+            shard.ingest_batch([make_event(100.0, PRECURSOR_A)])
             shard.advance(150.0)
             assert not any(
                 name.startswith("service.") for name in registry.snapshot()

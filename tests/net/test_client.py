@@ -1,6 +1,5 @@
-"""Client-side bookkeeping, retry policy, and the asyncio surface."""
+"""Client-side bookkeeping, retry policy, and served streams."""
 
-import asyncio
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from repro import faults
 from repro.faults import FaultPlan, ShardKill
 from repro.net import protocol
 from repro.net.client import (
-    AsyncPredictionClient,
     PredictionClient,
     Rejected,
     RetryPolicy,
@@ -29,7 +27,7 @@ from tests.net.conftest import (
 
 
 class TestClientCore:
-    """The shared protocol ledger needs no sockets to be tested."""
+    """The client's protocol ledger needs no sockets to be tested."""
 
     def make_unacked(self, core, n):
         events = [make_event(100.0 + i, PRECURSOR_A) for i in range(n)]
@@ -94,54 +92,20 @@ class TestClientCore:
 
 
 @pytest.mark.net
-class TestAsyncClient:
-    def test_async_stream_matches_in_process(self, catalog):
+class TestServedStream:
+    def test_stream_matches_in_process(self, catalog):
         events = fleet_events(weeks=4)
         service = PredictionService(fast_config(), shards=2, catalog=catalog)
-
-        async def run(host, port):
-            async with await AsyncPredictionClient.connect(host, port) as c:
-                acked = await c.stream(events)
-                await c.flush()
-                health = await c.health()
-                snapshot = await c.metrics()
-                return acked, health, snapshot
-
         with serve_in_thread(service, batch_size=16) as server:
-            acked, health, snapshot = asyncio.run(
-                run(server.host, server.port)
-            )
+            with PredictionClient(server.host, server.port) as client:
+                acked = client.stream(events)
+                client.flush()
+                health = client.health()
+                snapshot = client.metrics()
         assert acked == len(events)
         assert health["status"] == "ok"
         assert snapshot["net.events"]["value"] >= len(events)
         assert_same_warnings(service, reference_run(events, catalog=catalog))
-
-    def test_async_subscribe_receives_pushes(self, catalog):
-        events = fleet_events(weeks=4)
-        service = PredictionService(fast_config(), shards=2, catalog=catalog)
-
-        async def run(host, port):
-            listener = await AsyncPredictionClient.connect(host, port)
-            await listener.subscribe()
-            async with await AsyncPredictionClient.connect(host, port) as c:
-                await c.stream(events)
-                await c.flush()
-            # pull pushed frames until at least one warning arrived
-            # (_recv_frame stashes pushes and keeps waiting, so bound it)
-            while not listener.core.warnings:
-                try:
-                    await asyncio.wait_for(
-                        listener._recv_frame(), timeout=0.2
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            got = list(listener.core.warnings)
-            await listener.close()
-            return got
-
-        with serve_in_thread(service, batch_size=16) as server:
-            pushed = asyncio.run(run(server.host, server.port))
-        assert pushed  # the pattern workload must warn at least once
 
 
 @pytest.mark.net
@@ -225,34 +189,6 @@ class TestClientRetry:
                     assert client.stream(events) == len(events)
                     client.flush()
         # the point of the test: load really was shed, then re-won
-        assert registry.snapshot()['net.shed{scope="shard"}']["value"] > 0
-        assert service.n_ingested == len(events)
-
-    def test_async_client_retries_too(self, catalog):
-        events = self.burst()
-        registry = MetricsRegistry()
-
-        async def run(host, port):
-            client = await AsyncPredictionClient.connect(
-                host,
-                port,
-                window=len(events),
-                retry=RetryPolicy(max_attempts=20, base=0.01, cap=0.05),
-            )
-            async with client:
-                acked = await client.stream(events)
-                await client.flush()
-                return acked
-
-        with use_registry(registry):
-            service = PredictionService(
-                fast_config(reorder_slack=1000.0), shards=2, catalog=catalog
-            )
-            with serve_in_thread(
-                service, batch_size=16, max_linger=0.001, max_pending=16
-            ) as server:
-                acked = asyncio.run(run(server.host, server.port))
-        assert acked == len(events)
         assert registry.snapshot()['net.shed{scope="shard"}']["value"] > 0
         assert service.n_ingested == len(events)
 

@@ -7,6 +7,7 @@ from repro.preprocess.categorizer import (
     Categorizer,
     normalize_description,
 )
+from repro.preprocess.pipeline import PreprocessingPipeline
 from repro.raslog.events import Facility, Severity
 from repro.raslog.store import EventLog
 from tests.conftest import make_event, make_log
@@ -47,6 +48,14 @@ class TestClassify:
             severity=Severity.FATAL,
         )
         assert cat.classify(e) is not None
+
+    def test_every_type_description_maps_to_its_own_code(self, catalog):
+        """Catalog types may differ only in a numeric tail ("... class
+        007"); each type's own description must still find that type."""
+        cat = Categorizer(catalog)
+        for t in catalog:
+            event = make_event(1.0, t.description, facility=t.facility)
+            assert cat.classify(event) is t, t.description
 
     def test_codes_pass_through(self, catalog):
         cat = Categorizer(catalog)
@@ -169,6 +178,16 @@ class TestFakeFatalRemoval:
         cat.categorize(sample, report)
         assert report.unmatched == 0
         assert report.match_rate == 1.0
+
+    def test_raw_trace_yields_the_generated_code_set(self, small_trace):
+        """Preprocessing a seeded raw trace recovers every event type of
+        the generator's clean log, and no other."""
+        clean = PreprocessingPipeline(small_trace.catalog).run(
+            small_trace.raw
+        ).clean
+        assert {e.entry_data for e in clean} == {
+            e.entry_data for e in small_trace.clean
+        }
 
 
 def _per_row(cat, log):

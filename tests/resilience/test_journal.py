@@ -266,6 +266,36 @@ class TestFaultInjection:
         assert reopened.position == 2
         reopened.close()
 
+    def test_torn_fault_inside_batch_keeps_prefix_frames(self, tmp_path):
+        """A torn fault on record k of an n-record batch writes the k
+        complete frames before it plus the kept bytes, and kills the
+        journal at position k."""
+        wal = tmp_path / "wal"
+        journal = EventJournal(wal, fsync="never")
+        plan = FaultPlan(
+            journal_faults=[JournalFault(record=3, mode="torn", keep_bytes=9)]
+        )
+        batch = records(6)
+        with faults.install(plan):
+            with pytest.raises(FaultInjected, match="torn write"):
+                journal.append_batch(batch)
+        assert plan.injected == ["journal:torn:3"]
+        assert journal.closed
+        assert journal.position == 3
+        with EventJournal(tmp_path / "clean", fsync="never") as clean:
+            clean.append_batch(batch)
+        full = tail_segment(tmp_path / "clean").read_bytes()
+        frames = [
+            json.dumps(r, separators=(",", ":")).encode() for r in batch
+        ]
+        prefix = sum(8 + len(payload) for payload in frames[:3])
+        assert tail_segment(wal).read_bytes() == full[: prefix + 9]
+        reopened = EventJournal(wal, fsync="never")
+        assert reopened.n_torn_truncated == 1
+        assert reopened.position == 3
+        assert [r for _, r in reopened.replay()] == batch[:3]
+        reopened.close()
+
     def test_bitflip_fault_succeeds_then_fails_validation(self, tmp_path):
         journal = EventJournal(tmp_path / "wal", fsync="never")
         plan = FaultPlan(

@@ -262,6 +262,73 @@ class TestFleetDurability:
         assert _slug("///") == "shard"
 
 
+class TestRejectedEventsLeaveNoShard:
+    """A rejected event must not create the shard it was routed to:
+    not in ``shard_keys``, not in the manifest, not under ``shards/``."""
+
+    def fleet(self, tmp_path, catalog):
+        service = PredictionService(
+            fast_config(), catalog=catalog, origin=1000.0,
+            fleet_dir=tmp_path / "fleet", journal_fsync="never",
+        )
+        service.ingest(make_event(1100.0, PRECURSOR_A, location=LOCS[0]))
+        return service
+
+    def layout(self, service):
+        fleet = service.fleet_dir
+        manifest = json.loads((fleet / MANIFEST_NAME).read_text())
+        return (
+            service.shard_keys,
+            [entry["key"] for entry in manifest["shards"]],
+            sorted(p.name for p in (fleet / "shards").iterdir()),
+        )
+
+    def test_ingest_before_origin_on_new_location(self, catalog, tmp_path):
+        service = self.fleet(tmp_path, catalog)
+        before = self.layout(service)
+        with pytest.raises(ValueError, match="origin"):
+            service.ingest(make_event(10.0, PRECURSOR_A, location=LOCS[1]))
+        assert self.layout(service) == before
+        service.close()
+
+    def test_batch_before_origin_on_new_location(self, catalog, tmp_path):
+        service = self.fleet(tmp_path, catalog)
+        before = self.layout(service)
+        with pytest.raises(ValueError, match="origin"):
+            service.ingest_batch(
+                [make_event(10.0, PRECURSOR_A, location=LOCS[1])]
+            )
+        assert self.layout(service) == before
+        service.close()
+
+    def test_valid_new_shard_waits_for_every_sub_batch(
+        self, catalog, tmp_path
+    ):
+        """A valid sub-batch for a new location beside an out-of-order
+        one for an existing shard: nothing is created."""
+        service = self.fleet(tmp_path, catalog)
+        before = self.layout(service)
+        with pytest.raises(ValueError, match="time order"):
+            service.ingest_batch([
+                make_event(1200.0, PRECURSOR_A, location=LOCS[1]),
+                make_event(1050.0, PRECURSOR_A, location=LOCS[0]),
+            ])
+        assert self.layout(service) == before
+        assert service.n_ingested == 1
+        service.close()
+
+    def test_new_location_sub_batch_must_be_in_order(self, catalog, tmp_path):
+        service = self.fleet(tmp_path, catalog)
+        before = self.layout(service)
+        with pytest.raises(ValueError, match="time order"):
+            service.ingest_batch([
+                make_event(1300.0, PRECURSOR_A, location=LOCS[1]),
+                make_event(1250.0, PRECURSOR_B, location=LOCS[1]),
+            ])
+        assert self.layout(service) == before
+        service.close()
+
+
 class TestShardIsolation:
     def test_kill_marks_only_the_victim_down(self, catalog, tmp_path):
         fleet = tmp_path / "fleet"

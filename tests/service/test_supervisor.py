@@ -7,7 +7,7 @@ so every schedule here is deterministic: the tests *are* the timeline.
 
 import pytest
 
-from repro import faults, observe
+from repro import faults
 from repro.core.framework import FrameworkConfig
 from repro.faults import FaultInjected, FaultPlan, ShardKill
 from repro.observe import MetricsRegistry, use_registry
@@ -244,6 +244,15 @@ class TestCircuitBreaker:
         service.close()
 
 
+def rolling_restart(sup):
+    """The served rolling restart: each shard of the supervisor's plan,
+    one at a time, through ``PredictionService.restart_shard``."""
+    plan = sup.restart_plan()
+    for key in plan:
+        sup.service.restart_shard(key)
+    return plan
+
+
 class TestRollingRestart:
     def test_restarts_every_up_shard_in_order(self, catalog, tmp_path):
         registry = MetricsRegistry()
@@ -255,7 +264,7 @@ class TestRollingRestart:
                 k: service.session(k).n_ingested
                 for k in service.shard_keys
             }
-            restarted = sup.rolling_restart()
+            restarted = rolling_restart(sup)
             assert restarted == service.shard_keys
             assert not service.down_shards
             after = {
@@ -265,10 +274,8 @@ class TestRollingRestart:
             snapshot = registry.snapshot()
         assert after == before
         for key in restarted:
-            assert (
-                snapshot[f'fleet.rolling_restarts{{shard="{key}"}}']["value"]
-                == 1
-            )
+            series = f'service.rolling_restarts{{shard="{key}"}}'
+            assert snapshot[series]["value"] == 1
         service.close()
 
     def test_skips_down_and_quarantined(self, catalog, tmp_path):
@@ -290,14 +297,14 @@ class TestRollingRestart:
         plan = sup.restart_plan()
         assert down_key not in plan
         assert quarantined_key not in plan
-        assert sup.rolling_restart() == plan
+        assert rolling_restart(sup) == plan
         service.close()
 
     def test_restart_continues_ingesting_after(self, catalog, tmp_path):
         service = durable_service(tmp_path, catalog)
         seed(service)
         sup = ShardSupervisor(service, clock=FakeClock())
-        sup.rolling_restart()
+        rolling_restart(sup)
         seed(service, start=500.0)  # the stream continues post-restart
         assert service.n_ingested == 24
         service.close()

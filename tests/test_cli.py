@@ -79,10 +79,10 @@ class TestPreprocessGolden:
 
     COUNTS = (
         "parsed 18728 records (0 skipped); categorized 18728 "
-        "(5 fake fatals demoted); filtered to 150 events (99.2% compression)"
+        "(5 fake fatals demoted); filtered to 160 events (99.1% compression)"
     )
     CLEAN_SHA256 = (
-        "3c4e0e9e234154c1b523af59c688d2f79a9b1dcb42d0ccf177721636ec1e707e"
+        "ef37ecdadc5bf94e27d8a9c69ad903e890e9385d8b8707a14aae2b0cd4e60822"
     )
 
     def test_counts_and_clean_log(self, tmp_path, capsys):
