@@ -80,12 +80,11 @@ from repro.learners.rules import (
 )
 from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.events import RASEvent
-from repro.raslog.store import EventLog
 
 #: Ensemble policies: ``experts`` is the paper's mixture-of-experts order
 #: (later experts consulted only when earlier ones stay silent);
-#: ``union`` fires every matching rule (used for ablation and by the
-#: reviser to score rules individually in one pass); ``weighted`` fires
+#: ``union`` fires every matching rule (used for ablation, and the
+#: semantics by which the reviser scores each rule); ``weighted`` fires
 #: every matching rule whose training-set precision weight clears
 #: ``weight_threshold`` — an alternative combination scheme from the
 #: paper's future-work list.
@@ -610,18 +609,20 @@ class Predictor:
         return warnings
 
     def replay(
-        self, log: EventLog, tick: float | None = 60.0
+        self, log: Iterable[RASEvent], tick: float | None = 60.0
     ) -> list[FailureWarning]:
-        """Run the predictor over a whole log, with simulated clock ticks.
+        """Run the predictor over a whole log (or any time-ordered events,
+        drawn one at a time), with simulated clock ticks.
 
         ``tick`` is the period of the deployment timer that services the
         time-triggered distribution expert between events; ``None``
         disables the timer (purely event-driven replay).
 
         Each event takes the same step as :meth:`feed`, but off the
-        record: an offline replay (the reviser's scoring pass, an
-        evaluation) is not live traffic, so it records nothing in the
-        ``predictor.feed`` and ``predictor.warnings`` series.
+        record: an offline replay (an evaluation, the reviser's pass over
+        its statistical and distribution rules) is not live traffic, so
+        it records nothing in the ``predictor.feed`` and
+        ``predictor.warnings`` series.
         """
         if tick is not None and tick <= 0:
             raise ValueError(f"tick must be positive, got {tick}")

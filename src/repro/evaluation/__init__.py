@@ -6,6 +6,7 @@ from repro.evaluation.matching import (
     RuleScore,
     extract_failures,
     match_warnings,
+    score_firings,
     score_rules,
 )
 from repro.evaluation.metrics import PrecisionRecall, combine
@@ -30,10 +31,10 @@ __all__ = [
     "extract_failures",
     "learner_breakdown",
     "match_warnings",
-    "match_warnings",
     "mean_accuracy",
     "measure_overhead",
     "rolling_metrics",
+    "score_firings",
     "score_rules",
     "series_arrays",
     "trend_slope",

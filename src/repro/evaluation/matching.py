@@ -205,6 +205,46 @@ class RuleScore:
         return float(np.hypot(self.m1, self.m2))
 
 
+def score_firings(
+    rules: Sequence[tuple[str, np.ndarray, np.ndarray]],
+    fatal_times: np.ndarray,
+    fatal_codes: Sequence[str],
+) -> list[RuleScore]:
+    """Per-rule confusion counts of warnings given as arrays.
+
+    Each rule is ``(predicted, starts, ends)``: the times of its warnings
+    and their deadlines.  A rule's ``tp``/``fp`` are its warnings that
+    did/did not see a failure of the predicted type (any failure, for
+    ``ANY_FAILURE`` rules) in ``(start, end]``, ``covered`` the target
+    failures some warning saw, and ``fn`` the rest.  A rule without
+    warnings scores zero throughout: it cannot demonstrate effectiveness.
+    """
+    times = np.asarray(fatal_times, dtype=np.float64)
+    _check_record(times, fatal_codes)
+    rows_of = _rows_by_code(fatal_codes)
+    scores = []
+    for predicted, starts, ends in rules:
+        if not len(starts):
+            scores.append(RuleScore())
+            continue
+        target = (
+            times if predicted == ANY_FAILURE
+            else times[rows_of.get(predicted, _NO_ROWS)]
+        )
+        hit, covered = _hits(target, starts, ends)
+        tp = int(hit.sum())
+        n_covered = int(covered.sum())
+        scores.append(
+            RuleScore(
+                tp=tp,
+                fp=len(starts) - tp,
+                covered=n_covered,
+                fn=len(target) - n_covered,
+            )
+        )
+    return scores
+
+
 def score_rules(
     warnings: Sequence[FailureWarning],
     fatal_times: np.ndarray,
@@ -212,31 +252,19 @@ def score_rules(
 ) -> dict[tuple, RuleScore]:
     """Split a union-mode warning stream into per-rule confusion counts.
 
-    Warnings are grouped by ``rule_key``; each group is matched
-    independently, and a rule's false negatives are the failures *of the
-    type it predicts* (all failures, for ``ANY_FAILURE`` rules) that its
-    own warnings did not cover.
+    Warnings are grouped by ``rule_key`` (a key fixes the prediction, as
+    it does for a real rule) and each group is scored by
+    :func:`score_firings`.
     """
-    times = np.asarray(fatal_times, dtype=np.float64)
-    _check_record(times, fatal_codes)
-    rows_of = _rows_by_code(fatal_codes)
     by_rule: dict[tuple, list[FailureWarning]] = {}
     for w in warnings:
         by_rule.setdefault(w.rule_key, []).append(w)
-
-    scores: dict[tuple, RuleScore] = {}
-    for key, group in by_rule.items():
-        matched, covered = _match(group, times, rows_of)
-        predicted = group[0].predicted
-        if predicted == ANY_FAILURE:
-            n_target = len(times)
-            n_covered = int(covered.sum())
-        else:
-            target = rows_of.get(predicted, _NO_ROWS)
-            n_target = len(target)
-            n_covered = int(covered[target].sum())
-        tp = int(matched.sum())
-        scores[key] = RuleScore(
-            tp=tp, fp=len(group) - tp, covered=n_covered, fn=n_target - n_covered
+    rules = [
+        (
+            group[0].predicted,
+            np.fromiter(map(_TIME, group), np.float64, len(group)),
+            np.fromiter(map(_DEADLINE, group), np.float64, len(group)),
         )
-    return scores
+        for group in by_rule.values()
+    ]
+    return dict(zip(by_rule, score_firings(rules, fatal_times, fatal_codes)))

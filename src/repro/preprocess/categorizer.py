@@ -142,12 +142,19 @@ class Categorizer:
     def _lookup(self, facility: Facility, text: str) -> EventType | None:
         if text in self._codes:
             return self.catalog.get(text)
-        etype = self._by_description.get((facility, _fold(text)))
-        if etype is None:
-            etype = self._by_stripped.get(
-                (facility, normalize_description(text))
-            )
-        return etype
+        # Strip one detail tail at a time (bracketed, then numeric), as
+        # :func:`normalize_description` does, and look each form up as
+        # written: "... class 016 [node 3]" is "... class 016" once its
+        # bracket goes, which the stripped index would fold into every
+        # filler type of the class.
+        text = _fold(text)
+        etype = self._by_description.get((facility, text))
+        for tail in (_BRACKET_TAIL, _NUMERIC_TAIL):
+            if etype is not None:
+                return etype
+            text = tail.sub("", text).strip()
+            etype = self._by_description.get((facility, text))
+        return etype or self._by_stripped.get((facility, text))
 
     def classify(self, event: RASEvent) -> EventType | None:
         """Find the low-level type of a record, or None when unmatched."""

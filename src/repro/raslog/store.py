@@ -297,6 +297,25 @@ class EventLog:
             self._events = self._columns.events()
         return self._events
 
+    def event(self, row: int) -> RASEvent:
+        """The event at ``row``; a log made by :meth:`from_columns` that
+        has not built its events builds this one alone."""
+        if self._events is None:
+            assert self._columns is not None
+            (event,) = self._columns.events(np.array([row]))
+            return event
+        return self._events[row]
+
+    def codes(self) -> tuple[np.ndarray, list[str]]:
+        """Each row's ``entry_data`` as an id into the returned table: the
+        message column of a log made by :meth:`from_columns`, else encoded
+        from the events."""
+        if self._columns is not None:
+            return self._columns.message, list(self._columns.messages)
+        table: dict = {}
+        ids = encode(map(_ENTRY_DATA, self._events), table)
+        return ids, list(table)
+
     @property
     def columns(self) -> RowColumns:
         """The rows as columns: the backing ones of a log made by

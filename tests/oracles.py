@@ -4,10 +4,11 @@ or warning at a time.
 The production kernels are vectorized: Apriori counts with transaction
 bitmasks, the association learner bounds its windows with two array
 ``searchsorted`` calls, rule scoring matches each rule's warnings in one
-pass, and the reviser replays off the record.  These are the direct
-loops they replaced, kept as oracles: property tests compare the kernels
-with them on random inputs, and :func:`patched` swaps them all into the
-program so a whole session can be run both ways.
+pass, and the reviser scores its rules from the training log's columns.
+These are the direct loops they replaced, kept as oracles: property
+tests compare the kernels with them on random inputs, and
+:func:`patched` swaps them all into the program so a whole session can
+be run both ways.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.alerts import FailureWarning
+from repro.core.knowledge import RuleRecord
 from repro.core.predictor import Predictor
+from repro.core.reviser import Reviser
 from repro.evaluation.matching import MatchResult, RuleScore
 from repro.learners.apriori import ItemsetCounts
 from repro.learners.association import AssociationRuleLearner
@@ -214,6 +217,30 @@ def replay(
     return warnings
 
 
+def reviser_score(
+    reviser: Reviser, records: list[RuleRecord], log: EventLog, window: float
+) -> dict[tuple, RuleScore]:
+    """:meth:`Reviser.score` as a single union-mode predictor pass over
+    the training log: every rule fires independently, and each rule's
+    counts come from its own warnings."""
+    predictor = Predictor(
+        [r.rule for r in records],
+        window=window,
+        catalog=reviser.catalog,
+        ensemble="union",
+        dist_horizon_cap=reviser.dist_horizon_cap,
+    )
+    warnings = replay(predictor, log, tick=reviser.tick)
+    failures = fatal(log, reviser.catalog)
+    scores = score_rules(
+        warnings, failures.timestamps, [e.entry_data for e in failures]
+    )
+    # A rule that never fired scores zero throughout.
+    for record in records:
+        scores.setdefault(record.key, RuleScore())
+    return scores
+
+
 @contextmanager
 def patched():
     """Run the program with every oracle above in place of the kernel it
@@ -224,6 +251,6 @@ def patched():
         mp.setattr(EventLog, "fatal", fatal)
         mp.setattr(EventLog, "nonfatal", nonfatal)
         mp.setattr(EventLog, "split_fatal", split_fatal)
-        mp.setattr("repro.core.reviser.score_rules", score_rules)
+        mp.setattr(Reviser, "score", reviser_score)
         mp.setattr(Predictor, "replay", replay)
         yield

@@ -57,6 +57,19 @@ class TestClassify:
             event = make_event(1.0, t.description, facility=t.facility)
             assert cat.classify(event) is t, t.description
 
+    def test_filler_type_with_detail_tail_keeps_its_code(self, catalog):
+        """Filler types share their fully stripped form, so a detail tail
+        is stripped one at a time and each form looked up as written."""
+        cat = Categorizer(catalog)
+        for text in (
+            "kernel fatal condition class 016 [node 3]",
+            "kernel fatal condition class 016 42",
+            "Kernel Fatal Condition Class 016 0x1f",
+        ):
+            event = make_event(1.0, text, facility=Facility.KERNEL)
+            etype = cat.classify(event)
+            assert etype is not None and etype.code == "KERNEL-F-016", text
+
     def test_codes_pass_through(self, catalog):
         cat = Categorizer(catalog)
         e = make_event(1.0, "KERNEL-F-000", severity=Severity.FATAL)

@@ -451,10 +451,10 @@ class TestShardIsolation:
 
 class TestLiveMetrics:
     def test_offline_replays_record_no_live_feeds(self, catalog):
-        # The reviser scores its candidates by replaying the training
-        # log; that replay is not live traffic, so right after the
-        # initial training no event has been fed, and N live events later
-        # the series read N.
+        # The reviser replays the training log for its statistical and
+        # distribution candidates; that replay is not live traffic, so
+        # right after the initial training no event has been fed, and N
+        # live events later the series read N.
         events = fleet_events(weeks=3)
         boundary = 2 * WEEK_SECONDS
         prefix = [e for e in events if e.timestamp < boundary]
