@@ -7,9 +7,10 @@ filtered stream for regime change (event-mix divergence, inter-arrival
 shift, rule hit-rate decay), and an :class:`AdaptiveRetrainPolicy`
 with hysteresis, post-retrain cooldown and a ``WR_max`` safety net
 turns their scores into retrain/skip decisions.
-:class:`~repro.core.session.SessionCore` consumes the bundle through
-:class:`DriftMonitor` when ``FrameworkConfig.retrain_trigger`` is
-``"adaptive"``; the default ``"fixed"`` path is untouched.
+:class:`~repro.core.online.OnlinePredictionSession` consumes the
+bundle through :class:`DriftMonitor` when
+``FrameworkConfig.retrain_trigger`` is ``"adaptive"``; the default
+``"fixed"`` path is untouched.
 """
 
 from repro.adapt.detectors import (

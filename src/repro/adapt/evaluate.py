@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.adapt.policy import CAUSE_INITIAL
 from repro.core.config import FrameworkConfig
-from repro.core.session import SessionCore
+from repro.core.online import OnlinePredictionSession
 from repro.evaluation.matching import match_warnings
 from repro.raslog.generator import SyntheticLog
 from repro.raslog.scenarios import get_scenario
@@ -61,17 +61,21 @@ class ScenarioComparison:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
-def _stream(config: FrameworkConfig, syn: SyntheticLog) -> SessionCore:
-    core = SessionCore(config, catalog=syn.catalog, origin=0.0)
+def _stream(
+    config: FrameworkConfig, syn: SyntheticLog
+) -> OnlinePredictionSession:
+    session = OnlinePredictionSession(config, catalog=syn.catalog)
     for event in syn.clean:
-        core.ingest(event)
-    return core
+        session.ingest(event)
+    return session
 
 
-def _post_shift(core: SessionCore, syn: SyntheticLog, shift_week: int):
+def _post_shift(
+    session: OnlinePredictionSession, syn: SyntheticLog, shift_week: int
+):
     """Accuracy restricted to the post-shift tail of the trace."""
     shift_t = shift_week * WEEK_SECONDS
-    warnings = [w for w in core.warnings if w.time >= shift_t]
+    warnings = [w for w in session.warnings if w.time >= shift_t]
     keep = syn.fatal_times >= shift_t
     times = np.asarray(syn.fatal_times[keep], dtype=np.float64)
     codes = [c for c, k in zip(syn.fatal_codes, keep) if k]
@@ -79,20 +83,20 @@ def _post_shift(core: SessionCore, syn: SyntheticLog, shift_week: int):
 
 
 def _outcome(
-    core: SessionCore, syn: SyntheticLog, shift_week: int
+    session: OnlinePredictionSession, syn: SyntheticLog, shift_week: int
 ) -> ArmOutcome:
-    summary = core.summary()
-    post, _ = _post_shift(core, syn, shift_week)
+    summary = session.summary()
+    post, _ = _post_shift(session, syn, shift_week)
     return ArmOutcome(
-        trigger=core.config.retrain_trigger,
-        n_retrains=len(core.retrains),
-        retrain_weeks=tuple(r.week for r in core.retrains),
+        trigger=session.config.retrain_trigger,
+        n_retrains=len(session.retrains),
+        retrain_weeks=tuple(r.week for r in session.retrains),
         n_warnings=summary.n_warnings,
         recall=summary.matching.recall,
         precision=summary.matching.precision,
         post_shift_recall=post.recall,
         post_shift_precision=post.precision,
-        drift=core.drift_status(),
+        drift=session.drift_status(),
     )
 
 
@@ -127,10 +131,10 @@ def compare_on_scenario(
     )
 
     fixed = _outcome(_stream(fixed_config, syn), syn, pack.shift_week)
-    adaptive_core = _stream(adaptive_config, syn)
-    adaptive = _outcome(adaptive_core, syn, pack.shift_week)
+    adaptive_session = _stream(adaptive_config, syn)
+    adaptive = _outcome(adaptive_session, syn, pack.shift_week)
 
-    status = adaptive_core.drift_status() or {}
+    status = adaptive_session.drift_status() or {}
     trigger_week: int | None = None
     for entry in status.get("triggers", ()):
         if entry["cause"] != CAUSE_INITIAL and entry["week"] >= pack.shift_week:

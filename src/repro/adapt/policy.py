@@ -14,10 +14,11 @@ needs:
   than a metronome).
 
 :class:`DriftMonitor` bundles the three detectors with the policy
-behind the narrow surface :class:`~repro.core.session.SessionCore`
-drives: ``observe_event`` / ``observe_warnings`` on the hot path,
-``evaluate`` at week boundaries, ``retrained`` after a successful
-retraining, ``snapshot``/``restore`` for checkpoint v3.
+behind the narrow surface
+:class:`~repro.core.online.OnlinePredictionSession` drives:
+``observe_event`` / ``observe_warnings`` on the hot path, ``evaluate``
+at week boundaries, ``retrained`` after a successful retraining,
+``snapshot``/``restore`` for checkpoint v3.
 """
 
 from __future__ import annotations

@@ -376,7 +376,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         or config.retrain_trigger == "adaptive"
     ):
         # The batch framework below honours the adaptive trigger too (it
-        # replays through the same session core), but only the streaming
+        # replays through the same session), but only the streaming
         # path prints the drift summary.
         return _run_streaming(args, config)
     log, report = _prepare_log(args.input, strict=args.strict)

@@ -14,8 +14,8 @@ from repro.core.framework import (
     RunResult,
     WeeklyMetrics,
 )
-from repro.core.online import OnlinePredictionSession, SessionSummary
-from repro.core.session import SessionCore
+from repro.core.online import OnlinePredictionSession
+from repro.core.session import SessionSummary
 from repro.core.serialization import (
     dump_repository,
     load_repository,
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_MIN_ROC",
     "ENSEMBLE_POLICIES",
     "OnlinePredictionSession",
-    "SessionCore",
     "SessionSummary",
     "TuningDecision",
     "dump_repository",

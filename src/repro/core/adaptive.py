@@ -13,9 +13,9 @@ best is selected — smaller windows mean shorter event histories to
 maintain and cheaper online matching (the paper's stated motivation for
 not simply using two-hour windows everywhere).
 :class:`AdaptiveWindowFramework` plugs the tuner into the dynamic
-framework as the session core's window hook: at every retraining the
-chosen window becomes the one used for training, revising, re-priming
-and prediction.
+framework as the session's window hook: at every retraining the chosen
+window becomes the one used for training, revising, re-priming and
+prediction.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Configuration of the dynamic meta-learning engine, shared by the
-session core and the batch framework that replays through it."""
+online session and the batch framework that replays through it."""
 
 from __future__ import annotations
 

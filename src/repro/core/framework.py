@@ -9,11 +9,12 @@ event-driven predictor keeps monitoring the stream, emitting warnings
 whenever a rule matches within the prediction window ``Wp``.
 
 There is one engine: :meth:`DynamicMetaLearningFramework.run` replays a
-complete log through a :class:`~repro.core.session.SessionCore`, the
-same state machine that serves online streams, and then scores the
-warnings week by week.  Batch and streamed runs therefore share every
-retraining decision — fixed cadence or drift-triggered, and degraded
-mode's capped-backoff retries.
+complete log through an
+:class:`~repro.core.online.OnlinePredictionSession` with no journal and
+no reorder slack, the same session that serves online streams, and then
+scores the warnings week by week.  Batch and streamed runs therefore
+share every retraining decision — fixed cadence or drift-triggered, and
+degraded mode's capped-backoff retries.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import FrameworkConfig
 from repro.core.predictor import FailureWarning
-from repro.core.session import RetrainEvent, SessionCore, WindowTuner
+from repro.core.online import OnlinePredictionSession
+from repro.core.session import RetrainEvent, WindowTuner
 from repro.core.tracking import ChurnHistory
 from repro.evaluation.matching import extract_failures, match_warnings
 from repro.evaluation.metrics import PrecisionRecall
@@ -116,26 +118,26 @@ class DynamicMetaLearningFramework:
                 f"nothing to evaluate: end_week {end} <= start_week {start}"
             )
 
-        core = SessionCore(
-            cfg if start_week is None else cfg.with_(initial_train_weeks=start),
+        session = OnlinePredictionSession(
+            cfg.with_(initial_train_weeks=start, reorder_slack=0.0),
             catalog=self.catalog,
             origin=log.origin,
             window_tuner=self._window_tuner,
         )
-        core.ingest_batch(log.slice_weeks(0, end))
-        core.cross_boundaries(log.origin + (end - 1) * WEEK_SECONDS)
+        session.ingest_batch(log.slice_weeks(0, end).events)
+        session.cross_boundaries(log.origin + (end - 1) * WEEK_SECONDS)
 
-        weekly, overall = self._evaluate(log, core.warnings, start, end)
+        weekly, overall = self._evaluate(log, session.warnings, start, end)
         return RunResult(
             config=cfg,
-            warnings=core.warnings,
+            warnings=session.warnings,
             weekly=weekly,
-            churn=core.churn,
-            retrains=core.retrains,
+            churn=session.churn,
+            retrains=session.retrains,
             overall=overall,
             start_week=start,
             end_week=end,
-            retrain_failures=core.retrain_failures,
+            retrain_failures=session.retrain_failures,
         )
 
     # -- evaluation ------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Online (streaming) operation of the dynamic meta-learning framework.
 
 A deployment *streams* events as the CMCS reports them.
-:class:`OnlinePredictionSession` is that mode: feed events one at a time
-with :meth:`ingest`, receive warnings back, and retraining fires
-automatically whenever the stream crosses a retraining boundary.  There
-is one engine: the session is a :class:`~repro.core.session.SessionCore`
-subclass, and the batch
-:class:`~repro.core.framework.DynamicMetaLearningFramework` (which
-replays a complete log) runs the same core, so a streamed trace produces
-the same warnings as a batch run over the same events.
+:class:`OnlinePredictionSession` is that mode: feed events with
+:meth:`~OnlinePredictionSession.ingest` or
+:meth:`~OnlinePredictionSession.ingest_batch`, receive warnings back,
+and retraining fires automatically whenever the stream crosses a
+retraining boundary.  It is the framework's one engine: the batch
+:class:`~repro.core.framework.DynamicMetaLearningFramework` replays a
+complete log through a session with no journal and no reorder slack, so
+a streamed trace produces the same warnings as a batch run over the same
+events.
 
-The subclass adds the production concerns in front of the core's
-engine loop, in this order:
+A batch passes these stages in order:
 
 * **validation** — an event before the origin or (without reorder
   slack) out of time order raises ``ValueError`` before anything
@@ -23,15 +23,17 @@ engine loop, in this order:
   crash-consistent;
 * **reordering** (``config.reorder_slack > 0``) — a bounded
   :class:`~repro.resilience.ReorderBuffer` re-sequences out-of-order
-  events within the slack and quarantines later ones.
+  events within the slack and quarantines later ones;
+* **the engine loop** — windowing, retrain scheduling (fixed cadence or
+  drift-triggered) and the predictor feed, one event at a time.
 
 With ``config.on_retrain_error="degrade"``, a crashing retraining is
-recorded as a :class:`~repro.resilience.RetrainFailure` inside the core
-and retried with capped exponential backoff while the previous rule set
-keeps predicting.  :meth:`checkpoint` / :meth:`resume` round-trip the
-full session state through a versioned JSON file, so a restarted process
-continues byte-identically to one that never stopped.  A fleet of these
-sessions is orchestrated by :class:`repro.service.PredictionService`.
+recorded as a :class:`~repro.resilience.RetrainFailure` and retried with
+capped exponential backoff while the previous rule set keeps predicting.
+:meth:`checkpoint` / :meth:`resume` round-trip the full session state
+through a versioned JSON file, so a restarted process continues
+byte-identically to one that never stopped.  A fleet of these sessions
+is orchestrated by :class:`repro.service.PredictionService`.
 """
 
 from __future__ import annotations
@@ -40,19 +42,29 @@ from bisect import bisect_left
 from collections import deque
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro import observe
+from repro.adapt import DriftMonitor
 from repro.alerts import FailureWarning
 from repro.core.config import FrameworkConfig
 from repro.core.knowledge import KnowledgeRepository
-from repro.core.session import SessionCore, SessionSummary
-from repro.core.tracking import ChurnHistory
-from repro.raslog.catalog import EventCatalog
+from repro.core.meta import MetaLearner
+from repro.core.predictor import Predictor
+from repro.core.reviser import Reviser
+from repro.core.session import RetrainEvent, SessionSummary, WindowTuner
+from repro.core.tracking import ChurnHistory, diff_rule_sets
+from repro.evaluation.matching import match_warnings
+from repro.raslog.catalog import EventCatalog, default_catalog
 from repro.raslog.events import RASEvent
+from repro.raslog.store import EventLog
 from repro.resilience import checkpoint as ckpt
+from repro.resilience.degrade import RetrainFailure, backoff_delay
 from repro.resilience.journal import EventJournal, JournalCorruption
 from repro.resilience.reorder import QUARANTINE_KEEP, ReorderBuffer
+from repro.utils.timeutil import WEEK_SECONDS
 
 __all__ = [
     "OnlinePredictionSession",
@@ -86,12 +98,16 @@ def check_events(
             last = t
 
 
-class OnlinePredictionSession(SessionCore):
+class OnlinePredictionSession:
     """Event-at-a-time interface to the prediction engine.
 
     ``origin`` anchors week arithmetic (events must not precede it).
     Predictions start once ``config.initial_train_weeks`` of data have
     streamed in; before that, :meth:`ingest` buffers silently.
+    ``window_tuner``, if given, chooses the prediction window ``Wp`` at
+    each retraining (see :class:`~repro.core.adaptive.AdaptiveWindowTuner`);
+    a checkpoint does not record a tuned window, so :meth:`checkpoint`
+    refuses a session that has one.
     """
 
     def __init__(
@@ -100,25 +116,70 @@ class OnlinePredictionSession(SessionCore):
         catalog: EventCatalog | None = None,
         origin: float = 0.0,
         journal: EventJournal | None = None,
+        window_tuner: WindowTuner | None = None,
     ) -> None:
-        super().__init__(config, catalog=catalog, origin=origin)
+        self.config = config or FrameworkConfig()
+        self.catalog = catalog or default_catalog()
+        self.origin = float(origin)
+        #: the attached write-ahead journal, if any
+        self.journal = journal
+        self._window_tuner = window_tuner
+        #: the active prediction window ``Wp``; only a window tuner moves
+        #: it away from ``config.prediction_window``
+        self.prediction_window = self.config.prediction_window
+        self.meta = MetaLearner(
+            learners=self.config.learners,
+            catalog=self.catalog,
+            learner_params=self.config.learner_params,
+        )
+        self.reviser = Reviser(
+            min_roc=self.config.min_roc,
+            catalog=self.catalog,
+            tick=self.config.tick,
+            dist_horizon_cap=self.config.dist_horizon_cap,
+        )
+        self.repository = KnowledgeRepository()
+        self.retrains: list[RetrainEvent] = []
+        self.warnings: list[FailureWarning] = []
+        #: failed retraining attempts (degraded mode only)
+        self.retrain_failures: list[RetrainFailure] = []
         #: total events offered to :meth:`ingest` (incl. buffered/dropped)
         self.n_ingested = 0
         slack = self.config.reorder_slack
         self._reorder_buffer = ReorderBuffer(slack) if slack > 0 else None
         #: most recent events dropped as later than ``reorder_slack``
         self.quarantined: deque[RASEvent] = deque(maxlen=QUARANTINE_KEEP)
-        #: the attached write-ahead journal, if any
-        self.journal = journal
         #: True while :meth:`_replay_journal` re-feeds journal records,
         #: so they are not appended a second time
         self._replaying = False
 
-    @property
-    def n_quarantined(self) -> int:
-        """Events dropped as later than ``reorder_slack``."""
-        buffer = self._reorder_buffer
-        return 0 if buffer is None else buffer.n_quarantined
+        self._events: list[RASEvent] = []
+        self._fatal_times: list[float] = []
+        self._fatal_codes: list[str] = []
+        self._last_time = self.origin
+        self._predictor: Predictor | None = None
+        #: week number of the next scheduled retraining boundary (with
+        #: the adaptive trigger: the next weekly drift *evaluation*);
+        #: None once a non-retraining policy has run its initial training
+        self._next_retrain_week: int | None = self.config.initial_train_weeks
+        #: week still owed a successful retraining (degraded mode)
+        self._pending_retrain_week: int | None = None
+        #: consecutive retrain failures since the last success
+        self._retrain_attempts = 0
+        #: stream time before which no retry may run
+        self._retry_at = float("-inf")
+        #: stream time at which the current degraded stretch began
+        self._degraded_since: float | None = None
+        #: events dropped from the head of ``_events`` by a tail resume
+        self._history_dropped = 0
+        #: drift detectors + adaptive retrain policy (None: fixed cadence)
+        self._adapt: DriftMonitor | None = (
+            DriftMonitor.from_config(self.config)
+            if self.config.retrain_trigger == "adaptive"
+            else None
+        )
+        #: registry ``online.events`` was looked up in (see _instruments)
+        self._obs_registry: observe.MetricsRegistry | None = None
 
     def close(self) -> None:
         """A no-op: the session owns nothing to release (an attached
@@ -130,6 +191,199 @@ class OnlinePredictionSession(SessionCore):
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+    # -- bookkeeping -------------------------------------------------------
+
+    @property
+    def current_week(self) -> int:
+        return int((self._last_time - self.origin) // WEEK_SECONDS)
+
+    @property
+    def started(self) -> bool:
+        """Whether the initial training has happened yet."""
+        return self._predictor is not None
+
+    @property
+    def degraded(self) -> bool:
+        """Whether a retraining is currently owed after failures."""
+        return self._pending_retrain_week is not None
+
+    @property
+    def last_time(self) -> float:
+        """The stream clock: timestamp of the newest observed instant."""
+        return self._last_time
+
+    @property
+    def adaptive(self) -> bool:
+        """Whether retraining is drift-triggered rather than fixed-cadence."""
+        return self._adapt is not None
+
+    @property
+    def n_quarantined(self) -> int:
+        """Events dropped as later than ``reorder_slack``."""
+        buffer = self._reorder_buffer
+        return 0 if buffer is None else buffer.n_quarantined
+
+    @property
+    def churn(self) -> ChurnHistory:
+        """Rule churn of every retraining so far (Figure 12)."""
+        return ChurnHistory([r.churn for r in self.retrains])
+
+    def drift_status(self) -> dict | None:
+        """Drift-detector/policy state, or None with the fixed trigger."""
+        return None if self._adapt is None else self._adapt.status()
+
+    def history(self) -> EventLog:
+        """Everything ingested so far, as an EventLog.
+
+        A session restored from a tail checkpoint only retains the tail
+        its future retrainings can reach; earlier events are summarized
+        by counters (``summary().n_events`` stays exact).
+        """
+        return EventLog(self._events, origin=self.origin, _presorted=True)
+
+    def _boundary_time(self, week: int) -> float:
+        return self.origin + week * WEEK_SECONDS
+
+    # -- retraining ---------------------------------------------------------
+
+    def _retrain(self, week: int) -> None:
+        cfg = self.config
+        history = self.history()
+        w0, w1 = cfg.policy.window(week)
+        train_log = history.slice_weeks(w0, w1)
+
+        with observe.span("online.retrain"):
+            window = self.prediction_window
+            if self._window_tuner is not None:
+                window = self._window_tuner(week, train_log, self.meta, self.reviser)
+            output = self.meta.train(train_log, window, week=week)
+            candidates = output.records()
+            candidate_keys = {r.key for r in candidates}
+
+            if cfg.use_reviser:
+                revision = self.reviser.revise(candidates, train_log, window)
+                kept, removed_keys = revision.kept, revision.removed_keys
+                revise_seconds = revision.seconds
+            else:
+                kept, removed_keys = candidates, set()
+                revise_seconds = 0.0
+
+            churn_record = diff_rule_sets(
+                week, self.repository.keys(), candidate_keys, removed_keys
+            )
+            self.repository.replace_all(kept)
+            self.retrains.append(
+                RetrainEvent(
+                    week=week,
+                    train_span=(w0, w1),
+                    n_candidates=len(candidates),
+                    n_kept=len(kept),
+                    churn=churn_record,
+                    generation_seconds=output.seconds,
+                    revise_seconds=revise_seconds,
+                    learner_seconds=dict(output.learner_seconds),
+                )
+            )
+
+            self.prediction_window = window
+            self._predictor = self.make_predictor()
+            # Re-prime the fresh predictor with the last Wp seconds of the
+            # stream: the rule set changed but the system's recent past did
+            # not, so precursors that arrived just before the boundary must
+            # still be able to complete a rule.
+            boundary = self._boundary_time(week)
+            self._predictor.prime(
+                history.between(boundary - window, boundary), now=boundary
+            )
+
+    def make_predictor(self) -> Predictor:
+        """A fresh predictor over the current rule repository."""
+        cfg = self.config
+        return Predictor(
+            self.repository.rules(),
+            window=self.prediction_window,
+            catalog=self.catalog,
+            ensemble=cfg.ensemble,
+            dist_horizon_cap=cfg.dist_horizon_cap,
+            rule_weights=self.repository.precision_weights(),
+        )
+
+    def _schedule_after(self, week: int) -> None:
+        if not self.config.policy.retrains:
+            self._next_retrain_week = None
+        elif self._adapt is not None:
+            # Adaptive trigger: every week boundary is an *evaluation*;
+            # whether it becomes a retraining is the policy's call.
+            self._next_retrain_week = week + 1
+        else:
+            self._next_retrain_week = week + self.config.retrain_weeks
+
+    def _attempt_retrain(self, week: int, now: float) -> None:
+        """One retraining try; in degraded mode a failure is absorbed."""
+        try:
+            self._retrain(week)
+        except Exception as exc:
+            if self.config.on_retrain_error == "raise":
+                raise
+            self._retrain_attempts += 1
+            self.retrain_failures.append(
+                RetrainFailure(
+                    week=week,
+                    error=repr(exc),
+                    error_type=type(exc).__name__,
+                    attempt=self._retrain_attempts,
+                    time=now,
+                )
+            )
+            observe.counter("online.retrain_failures").inc()
+            if self._degraded_since is None:
+                self._degraded_since = now
+            self._retry_at = now + backoff_delay(
+                self._retrain_attempts,
+                self.config.retrain_backoff_base,
+                self.config.retrain_backoff_cap,
+            )
+        else:
+            self._pending_retrain_week = None
+            self._retrain_attempts = 0
+            self._retry_at = float("-inf")
+            if self._degraded_since is not None:
+                observe.counter("online.degraded_seconds").inc(
+                    max(0.0, now - self._degraded_since)
+                )
+                self._degraded_since = None
+            if self._adapt is not None:
+                self._adapt.retrained(week)
+
+    def cross_boundaries(self, t: float) -> None:
+        """Run any retrainings whose boundary the stream has crossed, and
+        any backoff-elapsed retry owed from earlier failures.  Unlike
+        :meth:`advance`, this neither moves the clock nor runs the timer."""
+        while (
+            self._next_retrain_week is not None
+            and t >= self._boundary_time(self._next_retrain_week)
+        ):
+            week = self._next_retrain_week
+            self._schedule_after(week)
+            if self._adapt is not None:
+                if self._pending_retrain_week is not None:
+                    # Degraded: a retraining is already owed to the retry
+                    # machinery.  A drift signal now must defer to it —
+                    # never queue a second retraining for the same regime
+                    # change.
+                    self._adapt.evaluate(week, deferred=True)
+                    continue
+                decision = self._adapt.evaluate(week)
+                if not decision.retrain:
+                    continue
+            # The newest crossed boundary supersedes an older owed week:
+            # its training window is the current one.
+            self._pending_retrain_week = week
+            if t >= self._retry_at:
+                self._attempt_retrain(week, t)
+        if self._pending_retrain_week is not None and t >= self._retry_at:
+            self._attempt_retrain(self._pending_retrain_week, t)
 
     # -- streaming surface -------------------------------------------------
 
@@ -148,13 +402,8 @@ class OnlinePredictionSession(SessionCore):
         """
         return self.ingest_batch([event])
 
-    def ingest_batch(self, events: list[RASEvent]) -> list[FailureWarning]:
+    def ingest_batch(self, events: Sequence[RASEvent]) -> list[FailureWarning]:
         """Feed a batch of events; returns warnings in ingest order.
-
-        With journaling enabled the whole batch is made durable by a
-        single group commit (one write + one fsync) before the first
-        event may change state, instead of one fsync per event — the
-        dominant per-event cost under ``journal_fsync="always"``.
 
         Validation is atomic over the batch and happens before the
         journal: every event is checked against the origin and (without
@@ -163,6 +412,11 @@ class OnlinePredictionSession(SessionCore):
         nothing — there is no partially applied prefix to reason about
         on retry, and a rejected event is never journaled (replaying it
         would abort recovery with the same error).
+
+        With journaling enabled the whole batch is made durable by a
+        single group commit (one write + one fsync) before the first
+        event may change state, instead of one fsync per event — the
+        dominant per-event cost under ``journal_fsync="always"``.
         """
         if not events:
             return []
@@ -187,7 +441,7 @@ class OnlinePredictionSession(SessionCore):
         buffer when there is one."""
         buffer = self._reorder_buffer
         if buffer is None:
-            return super().ingest_batch(events)
+            return self._apply(events)
         ready: list[RASEvent] = []
         for event in events:
             released, dropped = buffer.push(event)
@@ -195,7 +449,73 @@ class OnlinePredictionSession(SessionCore):
             if dropped:
                 self.quarantined.extend(dropped)
                 observe.counter("online.quarantined").inc(len(dropped))
-        return super().ingest_batch(ready)
+        return self._apply(ready)
+
+    def _due(self) -> float:
+        """Stream time from which :meth:`cross_boundaries` has work:
+        the next retraining boundary, or an owed retry's backoff end."""
+        due = float("inf")
+        if self._next_retrain_week is not None:
+            due = self._boundary_time(self._next_retrain_week)
+        if self._pending_retrain_week is not None:
+            due = min(due, self._retry_at)
+        return due
+
+    def _apply(self, events: Iterable[RASEvent]) -> list[FailureWarning]:
+        """The engine's one per-event loop over validated, in-order
+        events; returns the warnings they raised, in order.
+
+        Each event still goes through :meth:`Predictor.feed` and
+        :meth:`DriftMonitor.observe_event` as real method calls, exactly
+        as if fed alone: they are the per-event trace points a profiler
+        or benchmark wraps, so they are not inlined into this loop.
+        """
+        first = len(self.warnings)
+        tick = self.config.tick
+        adapt, fatal = self._adapt, self.catalog.fatal_codes
+        predictor = self._predictor
+        due = self._due()
+        n = 0
+        try:
+            for event in events:
+                t = event.timestamp
+                if t < self._last_time:
+                    # Unreachable from the public surface: validation
+                    # or the reorder buffer already ordered the events.
+                    raise ValueError(
+                        f"events must arrive in time order "
+                        f"({t} < {self._last_time})"
+                    )
+                if t >= due:
+                    self.cross_boundaries(t)
+                    due = self._due()
+                    predictor = self._predictor
+                self._last_time = t
+                self._events.append(event)
+                n += 1
+                code = event.entry_data
+                if code in fatal:
+                    self._fatal_times.append(t)
+                    self._fatal_codes.append(code)
+                if adapt is not None:
+                    adapt.observe_event(code, t, event.location)
+                if predictor is not None:
+                    new = predictor.feed(event, tick=tick)
+                    if new:
+                        self.warnings.extend(new)
+                        if adapt is not None:
+                            adapt.observe_warnings(new)
+        finally:
+            if n:
+                self._instruments().inc(n)
+        return self.warnings[first:]
+
+    def _instruments(self) -> observe.Counter:
+        registry = observe.get_registry()
+        if self._obs_registry is not registry:
+            self._obs_registry = registry
+            self._events_counter = registry.counter("online.events")
+        return self._events_counter
 
     def _write_ahead(self, record: dict) -> None:
         if self.journal is not None and not self._replaying:
@@ -209,7 +529,7 @@ class OnlinePredictionSession(SessionCore):
         if self._reorder_buffer is None:
             return []
         self._write_ahead({"kind": "flush"})
-        return super().ingest_batch(self._reorder_buffer.drain())
+        return self._apply(self._reorder_buffer.drain())
 
     def advance(self, now: float) -> list[FailureWarning]:
         """Move the session clock without an event (idle timer service)."""
@@ -218,13 +538,23 @@ class OnlinePredictionSession(SessionCore):
                 f"clock moved backwards: {now} < {self._last_time}"
             )
         self._write_ahead({"kind": "advance", "now": now})
-        if self._reorder_buffer is None:
-            return super().advance(now)
-        # The clock overtaking a buffered event forces it out: the
-        # deployment timer observed "now", so nothing before it may
-        # still be pending.
-        new = super().ingest_batch(self._reorder_buffer.release_until(now))
-        return new + super().advance(now)
+        new: list[FailureWarning] = []
+        if self._reorder_buffer is not None:
+            # The clock overtaking a buffered event forces it out: the
+            # deployment timer observed "now", so nothing before it may
+            # still be pending.
+            new = self._apply(self._reorder_buffer.release_until(now))
+        self.cross_boundaries(now)
+        self._last_time = now
+        if self._predictor is None or self.config.tick is None:
+            return new
+        caught = self._predictor.catch_up(now, self.config.tick)
+        self.warnings.extend(caught)
+        if self._adapt is not None and caught:
+            self._adapt.observe_warnings(caught)
+        return new + caught
+
+    # -- accounting ---------------------------------------------------------
 
     def summary(self) -> SessionSummary:
         """Accuracy accounting over the prediction period.
@@ -232,7 +562,48 @@ class OnlinePredictionSession(SessionCore):
         Failures that occurred before predictions started (during the
         initial training period) do not count toward recall.
         """
-        return super().summary(n_quarantined=self.n_quarantined)
+        prediction_start = self._boundary_time(self.config.initial_train_weeks)
+        times: list[float] = []
+        codes: list[str] = []
+        for t, c in zip(self._fatal_times, self._fatal_codes):
+            if t >= prediction_start:
+                times.append(t)
+                codes.append(c)
+        matching = match_warnings(
+            self.warnings, np.asarray(times, dtype=np.float64), codes
+        )
+        return SessionSummary(
+            n_events=self._history_dropped + len(self._events),
+            n_fatal=len(times),
+            n_warnings=len(self.warnings),
+            matching=matching,
+            retrains=list(self.retrains),
+            retrain_failures=list(self.retrain_failures),
+            n_quarantined=self.n_quarantined,
+        )
+
+    def history_tail_start(self) -> float:
+        """Earliest event time any future retraining can reach.
+
+        Sliding policies only look back ``length_weeks`` from the next
+        owed retraining (minus one prediction window for predictor
+        priming); growing and static policies need the full history.
+        """
+        wp = self.config.prediction_window
+        owed = [
+            w
+            for w in (self._pending_retrain_week, self._next_retrain_week)
+            if w is not None
+        ]
+        if not owed:
+            return self._last_time - wp
+        policy = self.config.policy
+        if policy.kind != "sliding":
+            return self.origin
+        first = min(owed)
+        w0 = max(0, first - policy.length_weeks)
+        return min(self._boundary_time(w0), self._boundary_time(first) - wp)
+
 
     # -- write-ahead journal -----------------------------------------------
 
@@ -280,7 +651,17 @@ class OnlinePredictionSession(SessionCore):
         degraded-mode bookkeeping, churn, accumulated warnings, and any
         reorder-buffer residue.  Written with temp-file + ``os.replace``
         so a crash mid-write never leaves a torn file.
+
+        A session with a window tuner raises
+        :class:`~repro.resilience.CheckpointError`: the file has no field
+        for the tuned window, so a resumed session would predict with
+        the configured one.
         """
+        if self._window_tuner is not None:
+            raise ckpt.CheckpointError(
+                "a session with a window tuner cannot be checkpointed: "
+                "the checkpoint does not record the tuned window"
+            )
         lo = bisect_left(
             self._events,
             self.history_tail_start(),
@@ -429,9 +810,6 @@ class OnlinePredictionSession(SessionCore):
         session.retrains = [
             ckpt.retrain_event_from_dict(d) for d in payload["retrains"]
         ]
-        session.churn = ChurnHistory()
-        for event in session.retrains:
-            session.churn.append(event.churn)
         session.retrain_failures = [
             ckpt.failure_from_dict(d) for d in payload["retrain_failures"]
         ]

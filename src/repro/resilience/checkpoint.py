@@ -34,7 +34,6 @@ from repro.core.serialization import (
     warning_to_dict,
 )
 from repro.core.tracking import ChurnRecord
-from repro.raslog.events import RASEvent
 from repro.resilience.degrade import (
     RetrainFailure,
     failure_from_dict,
@@ -199,14 +198,6 @@ def config_digest(config) -> str:
 # -- component codecs -----------------------------------------------------
 
 
-def event_to_dict(event: RASEvent) -> dict[str, Any]:
-    return event.as_dict()
-
-
-def event_from_dict(data: dict[str, Any]) -> RASEvent:
-    return RASEvent.from_dict(data)
-
-
 def churn_to_dict(churn: ChurnRecord) -> dict[str, Any]:
     return {
         "week": churn.week,
@@ -267,8 +258,6 @@ __all__ = [
     "config_digest",
     "config_from_dict",
     "config_to_dict",
-    "event_from_dict",
-    "event_to_dict",
     "failure_from_dict",
     "failure_to_dict",
     "read_checkpoint",

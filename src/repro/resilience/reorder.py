@@ -75,8 +75,13 @@ class ReorderBuffer:
         return self._release(t)
 
     def drain(self) -> list[RASEvent]:
-        """Release everything still buffered (end of stream / flush)."""
-        return self._release(float("inf"))
+        """Release everything still buffered (end of stream / flush).
+
+        A clock advance to the newest event seen: an event arriving
+        after the drain with an earlier timestamp is quarantined, not
+        released behind the events the drain handed out.
+        """
+        return self.release_until(self.max_seen)
 
     def _release(self, horizon: float) -> list[RASEvent]:
         ready: list[RASEvent] = []

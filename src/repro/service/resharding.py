@@ -1,7 +1,7 @@
 """Live resharding: split a hot shard or merge cold ones, losslessly.
 
 A shard's warnings are a function of its *combined* event stream — the
-session core is location-agnostic, so the state of a split child cannot
+session is location-agnostic, so the state of a split child cannot
 be carved out of the parent's session state.  What CAN reproduce it is
 the parent's write-ahead journal: every input the parent ever accepted,
 in acceptance order, from record 0 (shard journals are never compacted

@@ -16,7 +16,6 @@ from repro import faults
 from repro.adapt import CAUSE_INITIAL, CAUSE_MAX_INTERVAL
 from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
 from repro.core.online import OnlinePredictionSession
-from repro.core.session import SessionCore
 from repro.core.windows import TrainingPolicy
 from repro.faults import FaultPlan, LearnerCrash
 from repro.utils.timeutil import WEEK_SECONDS
@@ -38,7 +37,7 @@ def shifted():
 
 class TestFixedTriggerUnchanged:
     def test_fixed_session_has_no_drift_state(self, catalog, shifted):
-        session = SessionCore(
+        session = OnlinePredictionSession(
             FrameworkConfig(initial_train_weeks=2, retrain_weeks=2),
             catalog=catalog,
         )
@@ -51,15 +50,18 @@ class TestFixedTriggerUnchanged:
 
 class TestBatchHonoursTrigger:
     def test_batch_run_matches_streamed_core(self, catalog, shifted):
-        """The batch framework replays through the session core, so the
+        """The batch framework replays through the session, so the
         adaptive trigger schedules its retrainings too."""
         result = DynamicMetaLearningFramework(
             adaptive_config(), catalog=catalog
         ).run(shift_log(weeks=10, shift_week=5))
-        core = stream(SessionCore(adaptive_config(), catalog=catalog), shifted)
-        assert result.warnings == core.warnings
+        streamed = stream(
+            OnlinePredictionSession(adaptive_config(), catalog=catalog),
+            shifted,
+        )
+        assert result.warnings == streamed.warnings
         assert [r.week for r in result.retrains] == [
-            r.week for r in core.retrains
+            r.week for r in streamed.retrains
         ]
         # A batch run that ignores the trigger runs the fixed cadence.
         fixed = DynamicMetaLearningFramework(
@@ -72,7 +74,7 @@ class TestBatchHonoursTrigger:
 
 class TestAdaptiveScheduling:
     def test_retrains_on_drift_not_cadence(self, catalog, shifted):
-        session = SessionCore(adaptive_config(), catalog=catalog)
+        session = OnlinePredictionSession(adaptive_config(), catalog=catalog)
         assert session.adaptive
         stream(session, shifted)
         status = session.drift_status()
@@ -94,7 +96,7 @@ class TestAdaptiveScheduling:
         assert status["deferred"] == 0
 
     def test_keeps_predicting_after_drift_retrain(self, catalog, shifted):
-        session = SessionCore(adaptive_config(), catalog=catalog)
+        session = OnlinePredictionSession(adaptive_config(), catalog=catalog)
         stream(session, shifted)
         drift_week = session.retrains[-1].week
         post = [
@@ -109,7 +111,7 @@ class TestAdaptiveScheduling:
         """A stationary stream never shows drift, yet the WR_max net
         still retrains it on schedule."""
         stationary = list(shift_log(weeks=8, shift_week=99))
-        session = SessionCore(
+        session = OnlinePredictionSession(
             adaptive_config(adapt_max_interval_weeks=3), catalog=catalog
         )
         stream(session, stationary)
@@ -131,7 +133,7 @@ class TestStaticPolicySchedulesNothing:
             policy=TrainingPolicy(kind="static", length_weeks=2),
             retrain_trigger=trigger,
         )
-        session = SessionCore(config, catalog=catalog)
+        session = OnlinePredictionSession(config, catalog=catalog)
         assert session._next_retrain_week == 2
         stream(session, shift_log(weeks=8, shift_week=99))
         assert session._next_retrain_week is None
@@ -148,7 +150,7 @@ class TestDegradedDefer:
         across later week boundaries: those evaluations defer (counted),
         no second retraining is queued for the same regime change, and
         the eventual success is the *originally* triggered week."""
-        reference = SessionCore(adaptive_config(), catalog=catalog)
+        reference = OnlinePredictionSession(adaptive_config(), catalog=catalog)
         stream(reference, shifted)
         drift_week = reference.drift_status()["triggers"][1]["week"]
 
@@ -157,7 +159,7 @@ class TestDegradedDefer:
             retrain_backoff_base=1.5 * WEEK_SECONDS,
             retrain_backoff_cap=2.0 * WEEK_SECONDS,
         )
-        session = SessionCore(config, catalog=catalog)
+        session = OnlinePredictionSession(config, catalog=catalog)
         plan = FaultPlan(
             learner_crashes=[LearnerCrash(week=drift_week, attempts=1)]
         )

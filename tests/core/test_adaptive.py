@@ -9,8 +9,10 @@ from repro.core.adaptive import (
 )
 from repro.core.framework import FrameworkConfig
 from repro.core.meta import MetaLearner
+from repro.core.online import OnlinePredictionSession
 from repro.core.reviser import Reviser
 from repro.raslog.store import EventLog
+from repro.resilience.checkpoint import CheckpointError
 
 
 class TestTunerValidation:
@@ -102,3 +104,52 @@ class TestAdaptiveFramework:
         result = framework.run(mid_trace.clean, end_week=36)
         assert result.overall.precision > 0.4
         assert result.overall.recall > 0.3
+
+
+class TestStreamedWindowTuning:
+    def test_session_matches_the_framework(self, mid_trace, tmp_path):
+        """A streaming session with a window tuner, fed the log the
+        framework replays one event at a time, raises the same warnings
+        after the same tuning decisions; its checkpoint is refused."""
+        config = FrameworkConfig(initial_train_weeks=20, retrain_weeks=8)
+        candidates = (300.0, 1800.0)
+        framework = AdaptiveWindowFramework(
+            config,
+            catalog=mid_trace.catalog,
+            tuner=AdaptiveWindowTuner(candidates=candidates),
+        )
+        log = mid_trace.clean
+        result = framework.run(log, end_week=36)
+
+        tuner = AdaptiveWindowTuner(candidates=candidates)
+        decisions = []
+
+        def tune(week, train_log, meta, reviser):
+            decision = tuner.choose(
+                week,
+                train_log,
+                meta,
+                reviser,
+                mid_trace.catalog,
+                ensemble=config.ensemble,
+                dist_horizon_cap=config.dist_horizon_cap,
+            )
+            decisions.append(decision)
+            return decision.chosen
+
+        session = OnlinePredictionSession(
+            config,
+            catalog=mid_trace.catalog,
+            origin=log.origin,
+            window_tuner=tune,
+        )
+        for event in log.slice_weeks(0, 36):
+            session.ingest(event)
+        assert decisions and decisions == framework.decisions
+        assert session.warnings == result.warnings
+        assert [r.week for r in session.retrains] == [
+            r.week for r in result.retrains
+        ]
+        with pytest.raises(CheckpointError, match="window tuner"):
+            session.checkpoint(tmp_path / "tuned.ckpt")
+        assert not (tmp_path / "tuned.ckpt").exists()

@@ -8,7 +8,7 @@ from repro.core.framework import (
     FrameworkConfig,
     NothingToEvaluate,
 )
-from repro.core.session import SessionCore
+from repro.core.online import OnlinePredictionSession
 from repro.core.windows import dynamic_months, static_initial
 from repro.utils.timeutil import WEEK_SECONDS
 from tests.conftest import make_log
@@ -238,18 +238,24 @@ class TestReplayDriver:
         assert past.warnings == to_end.warnings
         assert [w.n_warnings for w in past.weekly[-2:]] == [0, 0]
 
-        core = SessionCore(config, catalog=trace.catalog, origin=log.origin)
+        session = OnlinePredictionSession(
+            config, catalog=trace.catalog, origin=log.origin
+        )
         for event in log:
-            core.ingest(event)
-        core.advance(log.origin + (log.n_weeks + 1) * WEEK_SECONDS)
-        assert len(core.warnings) > len(past.warnings)
+            session.ingest(event)
+        session.advance(log.origin + (log.n_weeks + 1) * WEEK_SECONDS)
+        assert len(session.warnings) > len(past.warnings)
 
     def test_config_and_engine_share_one_definition(self):
-        """The framework imports its config and the session core, never
-        the other way round; the public import path still works."""
-        from repro.core import config, framework, session
+        """The framework imports its config and the session, never the
+        other way round; the public import path still works."""
+        from repro.core import config, framework, online, session
 
         assert framework.FrameworkConfig is config.FrameworkConfig
-        assert session.FrameworkConfig is config.FrameworkConfig
+        assert online.FrameworkConfig is config.FrameworkConfig
+        assert (
+            framework.OnlinePredictionSession
+            is online.OnlinePredictionSession
+        )
         assert framework.RetrainEvent is session.RetrainEvent
-        assert not hasattr(session, "DynamicMetaLearningFramework")
+        assert not hasattr(online, "DynamicMetaLearningFramework")

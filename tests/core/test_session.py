@@ -1,10 +1,10 @@
-"""Unit tests for the pure session core and what is built on it.
+"""Unit tests for the online session and the shard handle that meters it.
 
-The core is the ordered event-at-a-time state machine.
-:class:`OnlinePredictionSession` subclasses it with validation, a
-reorder buffer and a write-ahead journal, and a :class:`ShardHandle`
-meters a session for the fleet service.  These tests pin that each of
-those adds exactly its one concern on top of the core's behaviour.
+:class:`OnlinePredictionSession` is the ordered event-at-a-time engine
+with validation, an optional reorder buffer and an optional write-ahead
+journal in front of it, and a :class:`ShardHandle` meters a session for
+the fleet service.  These tests pin the engine's behaviour and that
+each of the other concerns adds exactly its one effect.
 """
 
 import functools
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro import observe
 from repro.core.framework import FrameworkConfig
 from repro.core.online import OnlinePredictionSession
-from repro.core.session import SessionCore
 from repro.core.windows import TrainingPolicy, static_initial
 from repro.raslog.catalog import default_catalog
 from repro.resilience.journal import EventJournal
@@ -46,31 +45,33 @@ def fast_config(**overrides):
     )
 
 
-class TestSessionCore:
+class TestSession:
     def test_orders_enforced(self, catalog):
-        core = SessionCore(fast_config(), catalog=catalog)
-        core.ingest(make_event(100.0, PRECURSOR_A))
+        session = OnlinePredictionSession(fast_config(), catalog=catalog)
+        session.ingest(make_event(100.0, PRECURSOR_A))
         with pytest.raises(ValueError, match="time order"):
-            core.ingest(make_event(50.0, PRECURSOR_B))
+            session.ingest(make_event(50.0, PRECURSOR_B))
         with pytest.raises(ValueError, match="clock moved backwards"):
-            core.advance(50.0)
+            session.advance(50.0)
 
     def test_rejects_pre_origin_events(self, catalog):
-        core = SessionCore(fast_config(), catalog=catalog, origin=1000.0)
+        session = OnlinePredictionSession(
+            fast_config(), catalog=catalog, origin=1000.0
+        )
         with pytest.raises(ValueError, match="precedes the session origin"):
-            core.ingest(make_event(999.0, PRECURSOR_A))
+            session.ingest(make_event(999.0, PRECURSOR_A))
 
     def test_trains_at_boundary_and_predicts(self, catalog):
-        core = SessionCore(fast_config(), catalog=catalog)
-        assert not core.started
+        session = OnlinePredictionSession(fast_config(), catalog=catalog)
+        assert not session.started
         warnings = []
         for event in pattern_log():
-            warnings.extend(core.ingest(event))
-        assert core.started
-        assert [r.week for r in core.retrains] == [2, 4]
+            warnings.extend(session.ingest(event))
+        assert session.started
+        assert [r.week for r in session.retrains] == [2, 4]
         assert warnings
-        assert core.warnings == warnings
-        summary = core.summary()
+        assert session.warnings == warnings
+        summary = session.summary()
         assert summary.n_warnings == len(warnings)
         assert summary.precision > 0.9
 
@@ -85,27 +86,6 @@ class TestSessionCore:
         assert session.flush() == []
         assert journal.position == 1
         journal.close()
-
-    def test_matches_facade_warning_for_warning(self, catalog):
-        """The session subclass adds nothing to the engine on an
-        ordered stream: identical warnings, retrains and summary."""
-        log = pattern_log()
-        core = SessionCore(fast_config(), catalog=catalog)
-        session = OnlinePredictionSession(fast_config(), catalog=catalog)
-        for event in log:
-            core.ingest(event)
-            session.ingest(event)
-        assert core.warnings == session.warnings
-        assert [r.week for r in core.retrains] == [
-            r.week for r in session.retrains
-        ]
-        ours, theirs = core.summary(), session.summary()
-        assert (ours.n_events, ours.n_fatal, ours.n_warnings) == (
-            theirs.n_events,
-            theirs.n_fatal,
-            theirs.n_warnings,
-        )
-        assert (ours.precision, ours.recall) == (theirs.precision, theirs.recall)
 
 
 #: Configs whose retrainings a split stream must reproduce: a sliding
@@ -126,13 +106,13 @@ BATCH_CONFIGS = {
 SHIFTED = list(shift_log(weeks=8, shift_week=4))
 
 
-def outcome(core, registry):
-    summary = core.summary()
+def outcome(session, registry):
+    summary = session.summary()
     return (
-        core.warnings,
+        session.warnings,
         [
             (r.week, r.train_span, r.n_candidates, r.n_kept, r.churn)
-            for r in core.retrains
+            for r in session.retrains
         ],
         (summary.n_events, summary.n_fatal, summary.n_warnings),
         (summary.precision, summary.recall),
@@ -143,11 +123,13 @@ def outcome(core, registry):
 @functools.cache
 def per_event_outcome(policy):
     registry = observe.MetricsRegistry()
-    core = SessionCore(BATCH_CONFIGS[policy], catalog=default_catalog())
+    session = OnlinePredictionSession(
+        BATCH_CONFIGS[policy], catalog=default_catalog()
+    )
     with observe.use_registry(registry):
         for event in SHIFTED:
-            core.ingest(event)
-    return outcome(core, registry)
+            session.ingest(event)
+    return outcome(session, registry)
 
 
 class TestIngestBatch:
@@ -164,17 +146,21 @@ class TestIngestBatch:
         count the same events as feeding one event at a time."""
         bounds = [0, *sorted(set(cuts)), len(SHIFTED)]
         registry = observe.MetricsRegistry()
-        core = SessionCore(BATCH_CONFIGS[policy], catalog=default_catalog())
+        session = OnlinePredictionSession(
+            BATCH_CONFIGS[policy], catalog=default_catalog()
+        )
         returned = []
         with observe.use_registry(registry):
             for lo, hi in zip(bounds, bounds[1:]):
-                returned.extend(core.ingest_batch(SHIFTED[lo:hi]))
-        assert returned == core.warnings
-        assert outcome(core, registry) == per_event_outcome(policy)
+                returned.extend(session.ingest_batch(SHIFTED[lo:hi]))
+        assert returned == session.warnings
+        assert outcome(session, registry) == per_event_outcome(policy)
 
-    def test_out_of_order_mid_batch_applies_the_prefix(self, catalog):
+    def test_out_of_order_mid_batch_applies_nothing(self, catalog):
+        """A batch with an event out of time order is rejected whole:
+        the events ahead of it are not applied either."""
         registry = observe.MetricsRegistry()
-        core = SessionCore(fast_config(), catalog=catalog)
+        session = OnlinePredictionSession(fast_config(), catalog=catalog)
         batch = [
             make_event(100.0, PRECURSOR_A),
             make_event(200.0, PRECURSOR_B),
@@ -183,10 +169,11 @@ class TestIngestBatch:
         ]
         with observe.use_registry(registry):
             with pytest.raises(ValueError, match="time order"):
-                core.ingest_batch(batch)
-        assert core.last_time == 200.0
-        assert core.summary().n_events == 2
-        assert registry.counter("online.events").value == 2
+                session.ingest_batch(batch)
+        assert session.last_time == 0.0
+        assert session.n_ingested == 0
+        assert session.summary().n_events == 0
+        assert registry.counter("online.events").value == 0
 
     def test_cached_instruments_follow_a_registry_swap(self, catalog, tmp_path):
         """The session and its shard handle look their instruments up
@@ -218,7 +205,7 @@ class TestReorderingLayer:
         swapped = log.copy()
         swapped[10], swapped[11] = swapped[11], swapped[10]
 
-        straight = SessionCore(fast_config(), catalog=catalog)
+        straight = OnlinePredictionSession(fast_config(), catalog=catalog)
         for event in log:
             straight.ingest(event)
 

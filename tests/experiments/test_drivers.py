@@ -17,6 +17,10 @@ from repro.experiments import (
     table4,
     table5,
 )
+from repro.evaluation.overhead import _timed
+from repro.experiments.config import make_log
+from repro.learners.registry import create_learner
+from repro.utils.timeutil import WEEK_SECONDS
 
 SEED = 7
 
@@ -55,15 +59,33 @@ class TestTable4:
         assert table.rows[-1]["facility"] == "TOTAL"
 
 
+def interleaved_association_seconds(syn, months, rounds=5, window=300.0):
+    """Fastest association-mining time per training size (months of
+    ``syn``), with the sizes timed in alternating rounds so that each
+    one sees the same stretches of host speed."""
+    learner = create_learner("association", catalog=syn.catalog)
+    logs = {
+        m: syn.clean.between(0.0, round(m * 30 / 7) * WEEK_SECONDS)
+        for m in months
+    }
+    best = dict.fromkeys(months, float("inf"))
+    for _ in range(rounds):
+        for m in months:
+            _, seconds = _timed(learner.train, logs[m], window)
+            best[m] = min(best[m], seconds)
+    return best
+
+
 class TestTable5:
     def test_overhead_shape(self):
         table, records = table5.run(
             "SDSC", scale=1.0, seed=SEED, months=(3, 6, 12, 18), matching_weeks=2
         )
-        # association mining dominates and grows with training size (skip
-        # the first record, which carries one-time import warmup)
-        asso = [r.generation["association"] for r in records]
-        assert asso[-1] > asso[1]
+        # association mining grows with training size (the trace is the
+        # one table5.run just timed: 18 months plus 2 matching weeks)
+        syn = make_log("SDSC", scale=1.0, weeks=round(18 * 30 / 7) + 2, seed=SEED)
+        asso = interleaved_association_seconds(syn, (6, 18))
+        assert asso[18] > asso[6]
         # online rule matching stays trivially cheap (Observation #8)
         for r in records:
             assert r.rule_matching < 1.0

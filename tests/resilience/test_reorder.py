@@ -71,6 +71,16 @@ class TestReorderBuffer:
         assert ready == []
         assert [e.timestamp for e in dropped] == [98.0]
 
+    def test_drain_moves_watermark_to_newest_event(self):
+        buf = ReorderBuffer(10.0)
+        buf.push(ev(100.0))
+        buf.push(ev(95.0))
+        assert [e.timestamp for e in buf.drain()] == [95.0, 100.0]
+        _, dropped = buf.push(ev(98.0))  # older than what was drained
+        assert [e.timestamp for e in dropped] == [98.0]
+        ready, dropped = buf.push(ev(100.0))  # a tie is still in order
+        assert ([e.timestamp for e in ready], dropped) == ([100.0], [])
+
     def test_released_stream_is_nondecreasing(self):
         buf = ReorderBuffer(30.0)
         out = []
@@ -166,6 +176,24 @@ class TestSessionSlack:
         times = [e.timestamp for e in session.history()]
         assert times == sorted(times) == [100.0, 120.0]
         assert session.last_time == 120.0
+
+    def test_late_event_after_flush_quarantined(self, catalog):
+        """Regression: an event behind a flushed one is quarantined.
+
+        The flush released everything without moving the watermark, so
+        this event was accepted, buffered, and raised ``ValueError``
+        from the engine loop when a later event released it."""
+        config = FrameworkConfig(
+            initial_train_weeks=2, retrain_weeks=2, reorder_slack=60.0
+        )
+        session = OnlinePredictionSession(config, catalog=catalog)
+        session.ingest(ev(1000.0))
+        session.flush()
+        session.ingest(ev(950.0))  # behind the flushed event
+        assert [e.timestamp for e in session.quarantined] == [950.0]
+        session.ingest(ev(2000.0))
+        session.flush()
+        assert [e.timestamp for e in session.history()] == [1000.0, 2000.0]
 
     def test_advance_backwards_raises_before_draining(
         self, catalog, slack_config

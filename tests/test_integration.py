@@ -90,15 +90,19 @@ class TestPaperHeadlines:
         import time
 
         from repro.core.predictor import Predictor
-        from repro.core.session import SessionCore
+        from repro.core.online import OnlinePredictionSession
         from repro.utils.timeutil import WEEK_SECONDS
 
-        core = SessionCore(catalog=mid_trace.catalog, origin=log.origin)
+        session = OnlinePredictionSession(
+            catalog=mid_trace.catalog, origin=log.origin
+        )
         for event in log.slice_weeks(0, 26):
-            core.ingest(event)
-        core.cross_boundaries(log.origin + 26 * WEEK_SECONDS)
-        [event] = core.retrains
-        predictor = Predictor(core.repository.rules(), 300.0, mid_trace.catalog)
+            session.ingest(event)
+        session.cross_boundaries(log.origin + 26 * WEEK_SECONDS)
+        [event] = session.retrains
+        predictor = Predictor(
+            session.repository.rules(), 300.0, mid_trace.catalog
+        )
         week = log.week(27)
         predictor.state.clock = float(week.timestamps[0]) - 1.0
         t0 = time.perf_counter()
